@@ -45,6 +45,7 @@ from .lattice import (
     ModeFamily,
     casimir_exact,
     mode_sum_energy,
+    percent_difference,
     ring_hamiltonian,
     subtraction_constant,
 )
@@ -63,13 +64,27 @@ EXIT_NOT_CONVERGED = 3
 EXIT_CAPACITY = 4
 EXIT_PARSE = 5
 
+# Flags that only one selector reads; the other selectors refuse them.
+_SELECTOR_FLAGS = {"sweep": "family", "no_correction": "family",
+                   "subtraction": "chiral", "scale": "chiral"}
 
-def _out_path(raw: str) -> Path:
+
+def _json(obj) -> str:
+    """Sorted, indented JSON with NaN and infinities written as null, since
+    bare ``NaN`` is not JSON.  The float round trip through text is exact."""
+    clean = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return json.dumps(clean, indent=2, sort_keys=True)
+
+
+def _write(raw: str, text: str, command: str, config: dict) -> Path:
+    """Write ``text`` to ``raw`` (relative paths resolve against
+    $RINGCASIMIR_OUTDIR) together with its manifest sidecar."""
     path = Path(raw)
     if not path.is_absolute():
-        base = os.environ.get("RINGCASIMIR_OUTDIR", ".")
-        path = Path(base) / path
+        path = Path(os.environ.get("RINGCASIMIR_OUTDIR", ".")) / path
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    _write_manifest(path, command, config)
     return path
 
 
@@ -87,7 +102,7 @@ def _write_manifest(path: Path, command: str, config: dict) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     manifest_path = path.with_name(path.name + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(_json(manifest) + "\n")
 
 
 def _fmt(value: float, full: bool) -> str:
@@ -118,21 +133,27 @@ def _vqe_config(args) -> VqeConfig:
     )
 
 
+def _pauli_file_spec(path: str) -> HamiltonianSpec:
+    psum = parse(Path(path).read_text())
+    return HamiltonianSpec(qubits=psum.qubits, pauli=psum, label=f"file {path}")
+
+
+def _chiral_system(args) -> ChiralSystem:
+    """The --sites/--eta system at --scale, or at the calibrated scale."""
+    if args.scale is not None:
+        return ChiralSystem(args.sites, args.eta, args.scale)
+    return reference_system(args.sites, args.eta)
+
+
 def cmd_exact(args) -> int:
     full = args.full_precision
     if args.from_file:
-        psum = parse(Path(args.from_file).read_text())
-        spec = HamiltonianSpec(qubits=psum.qubits, pauli=psum, label=f"file {args.from_file}")
-        energy = spec.ground_energy()
-        print(f"qubits {psum.qubits}")
-        print(f"ground_energy {energy!r}")
+        spec = _pauli_file_spec(args.from_file)
+        print(f"qubits {spec.qubits}")
+        print(f"ground_energy {spec.ground_energy()!r}")
         return EXIT_OK
     if args.chiral:
-        system = (
-            ChiralSystem(args.sites, args.eta, args.scale)
-            if args.scale is not None
-            else reference_system(args.sites, args.eta)
-        )
+        system = _chiral_system(args)
         sea = dirac_sea_energy(single_particle_matrix(system))
         if args.subtraction is not None:
             subtraction = args.subtraction
@@ -155,9 +176,8 @@ def cmd_exact(args) -> int:
         print(f"casimir {_fmt(report['casimir'], full)}")
         print(f"continuum_target {_fmt(report['continuum_target'], full)}")
         if args.json:
-            path = _out_path(args.json)
-            path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            _write_manifest(path, "exact", vars(args) | {"resolved_scale": system.scale})
+            _write(args.json, _json(report) + "\n", "exact",
+                   vars(args) | {"resolved_scale": system.scale})
         return EXIT_OK
 
     sweep = _parse_sweep(args.sweep) if args.sweep else [args.sites]
@@ -181,9 +201,7 @@ def cmd_exact(args) -> int:
             line = f"{n}  {energy:.4f}  {_fmt(correction, False)}"
             print(line if not full else f"{n}  {energy!r}  {correction!r}")
     if args.json:
-        path = _out_path(args.json)
-        path.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-        _write_manifest(path, "exact", vars(args))
+        _write(args.json, _json(rows) + "\n", "exact", vars(args))
     return EXIT_OK
 
 
@@ -203,69 +221,41 @@ def _result_record(args, family_label, sites, exact, vqe_energy, pct,
     }
 
 
-def _write_trace(path: Path, rows) -> None:
-    lines = ["iteration,energy"]
-    for iteration, energy in rows:
-        lines.append(f"{iteration},{float(energy)!r}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def cmd_vqe(args) -> int:
     cfg = _vqe_config(args)
-    from .lattice import percent_difference as pct_diff
-
-    if args.from_file:
-        text = Path(args.from_file).read_text()
-        psum = parse(text)
-        spec = HamiltonianSpec(qubits=psum.qubits, pauli=psum, label=f"file {args.from_file}")
-        result = run_vqe(spec, cfg)
-        exact = spec.ground_energy()
-        record = _result_record(
-            args, f"file:{args.from_file}", psum.qubits, exact,
-            result.energy, pct_diff(result.energy, exact),
-            len(result.trace), result.evaluations, result.converged,
-        )
-        trace_rows = result.trace
-        converged = result.converged
-    elif args.chiral:
-        system = (
-            ChiralSystem(args.sites, args.eta, args.scale)
-            if args.scale is not None
-            else reference_system(args.sites, args.eta)
-        )
-        t = single_particle_matrix(system)
-        spec = jordan_wigner_hamiltonian(t)
-        result = run_vqe(spec, cfg)
-        exact = dirac_sea_energy(t)
-        record = _result_record(
-            args, f"chiral eta={system.eta}", system.sites, exact,
-            result.energy, pct_diff(result.energy, exact),
-            len(result.trace), result.evaluations, result.converged,
-        )
-        trace_rows = result.trace
-        converged = result.converged
-    else:
+    if args.family:
         family = ModeFamily.from_label(args.family, args.sites)
         report, mode_results = partitioned_run(family, cfg, return_mode_results=True)
         converged = all(r.converged for r in mode_results)
-        stitched = combined_trace(mode_results, offset=report.subtraction)
+        trace_rows = combined_trace(mode_results, offset=report.subtraction)
         record = _result_record(
             args, family.label, family.sites, report.exact_energy,
             report.vqe_energy, report.percent_difference,
-            len(stitched), sum(r.evaluations for r in mode_results), converged,
+            len(trace_rows), sum(r.evaluations for r in mode_results), converged,
         )
         record["per_mode_energies"] = [float(e) for e in report.per_mode_energies]
-        trace_rows = stitched
+    else:
+        if args.from_file:
+            spec = _pauli_file_spec(args.from_file)
+            label, sites, exact = f"file:{args.from_file}", spec.qubits, spec.ground_energy()
+        else:
+            system = _chiral_system(args)
+            t = single_particle_matrix(system)
+            spec = jordan_wigner_hamiltonian(t)
+            label, sites, exact = f"chiral eta={system.eta}", system.sites, dirac_sea_energy(t)
+        result = run_vqe(spec, cfg)
+        converged, trace_rows = result.converged, result.trace
+        record = _result_record(
+            args, label, sites, exact, result.energy, percent_difference(result.energy, exact),
+            len(trace_rows), result.evaluations, converged,
+        )
 
-    print(json.dumps(record, indent=2, sort_keys=True))
+    print(_json(record))
     if args.json:
-        path = _out_path(args.json)
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        _write_manifest(path, "vqe", vars(args))
+        _write(args.json, _json(record) + "\n", "vqe", vars(args))
     if args.trace:
-        path = _out_path(args.trace)
-        _write_trace(path, trace_rows)
-        _write_manifest(path, "vqe", vars(args))
+        lines = ["iteration,energy"] + [f"{i},{float(e)!r}" for i, e in trace_rows]
+        _write(args.trace, "\n".join(lines) + "\n", "vqe", vars(args))
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
@@ -276,19 +266,15 @@ def cmd_export(args) -> int:
     if args.with_correction:
         diagonal = diagonal + subtraction_constant(family.statistics)
     psum = decompose_diagonal(diagonal)
-    path = _out_path(args.out)
-    path.write_text(serialize(psum))
-    _write_manifest(path, "export", vars(args))
+    path = _write(args.out, serialize(psum), "export", vars(args))
     print(f"wrote {len(psum)} terms on {psum.qubits} qubits to {path}")
     return EXIT_OK
 
 
 def cmd_import(args) -> int:
-    text = Path(args.path).read_text()
-    psum = parse(text)
-    spec = HamiltonianSpec(qubits=psum.qubits, pauli=psum, label=f"file {args.path}")
-    print(f"qubits {psum.qubits}")
-    print(f"terms {len(psum)}")
+    spec = _pauli_file_spec(args.path)
+    print(f"qubits {spec.qubits}")
+    print(f"terms {len(spec.pauli)}")
     print(f"ground_energy {spec.ground_energy()!r}")
     return EXIT_OK
 
@@ -305,9 +291,7 @@ def cmd_pauli_count(args) -> int:
             lines.append(f"{n},NA,NA")
     text = "\n".join(lines) + "\n"
     if args.out:
-        path = _out_path(args.out)
-        path.write_text(text)
-        _write_manifest(path, "pauli-count", vars(args))
+        _write(args.out, text, "pauli-count", vars(args))
     print(text, end="")
     return EXIT_OK
 
@@ -324,9 +308,7 @@ def cmd_dispersion(args) -> int:
             rows.append(f"{point.momentum!r},{point.lambda_minus!r},{point.lambda_plus!r}")
     text = "\n".join(rows) + "\n"
     if args.out:
-        path = _out_path(args.out)
-        path.write_text(text)
-        _write_manifest(path, "dispersion", vars(args))
+        _write(args.out, text, "dispersion", vars(args))
     print(text, end="")
     return EXIT_OK
 
@@ -422,6 +404,10 @@ def main(argv=None) -> int:
         ]
         if sum(chosen) != 1:
             parser.error("choose exactly one of --family / --chiral / --from-file")
+        for dest, owner in _SELECTOR_FLAGS.items():
+            value = getattr(args, dest, None)
+            if value is not None and value is not False and not getattr(args, owner):
+                parser.error(f"--{dest.replace('_', '-')} only applies with --{owner}")
     try:
         return args.fn(args)
     except PauliFormatError as exc:

@@ -1,20 +1,24 @@
 """Qubit Hamiltonian container shared by the lattice, VQE and chiral modules.
 
-A :class:`HamiltonianSpec` carries a qubit count plus at least one concrete
+A :class:`HamiltonianSpec` carries a qubit count plus exactly one concrete
 representation: a dense Hermitian matrix, a real diagonal (every ring
 Hamiltonian in this package is diagonal in the computational basis), or a
-Pauli-sum.  Dense matrices are only materialized up to
-``DENSE_QUBIT_CAP`` qubits; diagonal storage stretches to
-``RING_QUBIT_CAP``.
+Pauli-sum.  ``expectation``, ``ground_energy``, ``as_matrix`` and
+``as_pauli`` all dispatch on the stored representation, so an exact
+expectation costs ``diag . |psi|^2`` for a diagonal, one dense contraction
+for a matrix, and a string loop only for a Pauli-sum.  Dense matrices are
+only materialized up to ``DENSE_QUBIT_CAP`` qubits; diagonal storage
+stretches to ``RING_QUBIT_CAP``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
 
+from . import pauli as _pauli
 from .operators import CapacityError, require_hermitian
 
 __all__ = ["HamiltonianSpec", "DENSE_QUBIT_CAP", "RING_QUBIT_CAP", "CapacityError"]
@@ -27,9 +31,9 @@ RING_QUBIT_CAP = 16
 class HamiltonianSpec:
     """A qubit Hamiltonian with provenance label.
 
-    At least one of ``matrix`` (dense Hermitian), ``diagonal`` (real 1-D) or
-    ``pauli`` (a :class:`ringcasimir.pauli.PauliSum`) must be supplied and all
-    supplied representations must share the dimension ``2**qubits``.
+    Exactly one of ``matrix`` (dense Hermitian), ``diagonal`` (real 1-D,
+    finite) or ``pauli`` (a :class:`ringcasimir.pauli.PauliSum`) must be
+    supplied, with dimension ``2**qubits``.
     """
 
     qubits: int
@@ -37,29 +41,46 @@ class HamiltonianSpec:
     diagonal: Optional[np.ndarray] = None
     pauli: Any = None
     label: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.qubits < 1:
             raise ValueError(f"qubit count must be >= 1, got {self.qubits}")
-        if self.matrix is None and self.diagonal is None and self.pauli is None:
-            raise ValueError("HamiltonianSpec needs a matrix, diagonal or pauli representation")
+        given = sum(r is not None for r in (self.matrix, self.diagonal, self.pauli))
+        if given != 1:
+            raise ValueError(
+                f"HamiltonianSpec needs exactly one of matrix, diagonal or pauli; got {given}"
+            )
         dim = self.dim
         if self.matrix is not None:
             self.matrix = np.asarray(self.matrix, dtype=complex)
             if self.matrix.shape != (dim, dim):
                 raise ValueError(f"matrix shape {self.matrix.shape} != ({dim}, {dim})")
             require_hermitian(self.matrix)
-        if self.diagonal is not None:
+        elif self.diagonal is not None:
             self.diagonal = np.asarray(self.diagonal, dtype=float)
             if self.diagonal.shape != (dim,):
                 raise ValueError(f"diagonal length {self.diagonal.shape} != {dim}")
-        if self.pauli is not None and self.pauli.qubits != self.qubits:
+            if not np.all(np.isfinite(self.diagonal)):
+                raise ValueError("diagonal has non-finite entries")
+        elif self.pauli.qubits != self.qubits:
             raise ValueError(f"pauli qubit count {self.pauli.qubits} != {self.qubits}")
 
     @property
     def dim(self) -> int:
         return 2**self.qubits
+
+    def expectation(self, state: np.ndarray) -> float:
+        """<state| H |state> for a normalized state of dimension ``2**qubits``."""
+        if self.pauli is not None:
+            return _pauli.expectation(self.pauli, state)
+        state = np.asarray(state, dtype=complex).reshape(-1)
+        if state.shape[0] != self.dim:
+            raise ValueError(f"state dimension {state.shape[0]} != 2^{self.qubits}")
+        if self.diagonal is not None:
+            return float(self.diagonal @ (state.real**2 + state.imag**2))
+        # einsum rather than a BLAS matvec: the matvec stalls on thread
+        # hand-off when called thousands of times inside an optimizer loop.
+        return float(np.einsum("i,ij,j->", state.conj(), self.matrix, state).real)
 
     def as_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix; materialized on demand below the cap."""
@@ -71,18 +92,20 @@ class HamiltonianSpec:
             )
         if self.diagonal is not None:
             return np.diag(self.diagonal.astype(complex))
-        from .pauli import reconstruct
+        return _pauli.reconstruct(self.pauli)
 
-        return reconstruct(self.pauli)
+    def as_pauli(self):
+        """The :class:`ringcasimir.pauli.PauliSum` form, decomposed on demand."""
+        if self.pauli is not None:
+            return self.pauli
+        if self.diagonal is not None:
+            return _pauli.decompose_diagonal(self.diagonal)
+        return _pauli.decompose(self.matrix)
 
     def ground_energy(self) -> float:
-        """Lowest eigenvalue, via the cheapest available representation."""
+        """Lowest eigenvalue, via the cheapest path for the stored form."""
         if self.diagonal is not None:
             return float(self.diagonal.min())
-        if self.matrix is not None:
-            return float(np.linalg.eigvalsh(self.matrix)[0])
-        from .pauli import diagonal_part, is_diagonal
-
-        if is_diagonal(self.pauli):
-            return float(diagonal_part(self.pauli).min())
+        if self.pauli is not None and _pauli.is_diagonal(self.pauli):
+            return float(_pauli.diagonal_part(self.pauli).min())
         return float(np.linalg.eigvalsh(self.as_matrix())[0])

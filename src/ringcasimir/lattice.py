@@ -129,6 +129,13 @@ def _constituents(family: ModeFamily):
     return (family,)
 
 
+def _modes(family: ModeFamily):
+    """(member, i) for every mode, in register order (bosons first)."""
+    for member in _constituents(family):
+        for i in range(1, member.sites + 1):
+            yield member, i
+
+
 def mode_frequency(family: ModeFamily, i: int) -> float:
     """Frequency of normal mode ``i`` (1-based, i <= sites); strictly positive."""
     if family.statistics is Statistics.COMBINED:
@@ -243,7 +250,6 @@ def mode_hamiltonian(family: ModeFamily, i: int) -> HamiltonianSpec:
     qubits = 2 if family.statistics is Statistics.BOSON else 1
     return HamiltonianSpec(
         qubits=qubits,
-        matrix=np.diag(diag.astype(complex)),
         diagonal=diag,
         label=f"{family.label} N={family.sites} mode {i}",
     )
@@ -264,10 +270,9 @@ def ring_hamiltonian(family: ModeFamily) -> HamiltonianSpec:
             f"(cap {RING_QUBIT_CAP}); run per-mode partitioned VQE instead"
         )
     diag = np.zeros(1)
-    for member in _constituents(family):
-        for i in range(1, member.sites + 1):
-            omega = mode_frequency(member, i)
-            diag = np.add.outer(diag, _mode_diagonal(member.statistics, omega)).ravel()
+    for member, i in _modes(family):
+        omega = mode_frequency(member, i)
+        diag = np.add.outer(diag, _mode_diagonal(member.statistics, omega)).ravel()
     return HamiltonianSpec(
         qubits=qubits,
         diagonal=diag,

@@ -116,12 +116,16 @@ def fermion_lower(mode: int, n_modes: int) -> np.ndarray:
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entry-wise deviation of ``m`` from its conjugate transpose."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported as such
+        return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     m = np.asarray(m)
     defect = hermiticity_defect(m)
+    # A NaN or inf entry always leaves a NaN or inf in M - M^dag.
+    if not np.isfinite(defect):
+        raise ValueError("matrix has non-finite entries")
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} > {tol:.0e}")
     return m

@@ -18,6 +18,7 @@ are ordered by descending |coefficient|, ties broken lexicographically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -88,7 +89,9 @@ class PauliSum:
             raise ValueError(f"qubit count must be >= 1, got {self.qubits}")
         coerced = tuple((float(c), str(s)) for c, s in self.terms)
         seen = set()
-        for _, letters in coerced:
+        for coefficient, letters in coerced:
+            if not math.isfinite(coefficient):
+                raise ValueError(f"string {letters!r} has non-finite coefficient {coefficient}")
             if len(letters) != self.qubits:
                 raise ValueError(f"string {letters!r} has length != {self.qubits}")
             bad = set(letters) - set(ALPHABET)
@@ -316,6 +319,8 @@ def parse(text: str) -> PauliSum:
             coefficient = float(fields[0])
         except ValueError:
             raise PauliFormatError(lineno, f"non-numeric coefficient {fields[0]!r}")
+        if not math.isfinite(coefficient):
+            raise PauliFormatError(lineno, f"non-finite coefficient {fields[0]!r}")
         letters = fields[1]
         if len(letters) != qubits:
             raise PauliFormatError(

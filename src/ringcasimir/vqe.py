@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -30,13 +30,13 @@ from .hamiltonian import CapacityError, HamiltonianSpec
 from .lattice import (
     CasimirReport,
     ModeFamily,
-    Statistics,
+    _modes,
     casimir_exact,
     mode_hamiltonian,
     percent_difference,
     subtraction_constant,
 )
-from .pauli import PauliSum, decompose, decompose_diagonal, expectation
+from .pauli import PauliSum
 
 __all__ = [
     "STATEVECTOR_QUBIT_CAP",
@@ -227,17 +227,11 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig) -> MinimizeRes
             trace.append((evaluations[0], value))
         return value
 
-    method = _SCIPY_METHOD[cfg.optimizer]
-    if cfg.optimizer is Optimizer.LINEAR:
-        result = _scipy_minimize(
-            wrapped, x0, method=method, tol=cfg.tolerance,
-            options={"maxiter": cfg.max_iterations},
-        )
-    else:
-        result = _scipy_minimize(
-            wrapped, x0, method=method,
-            options={"maxiter": cfg.max_iterations, "ftol": cfg.tolerance},
-        )
+    # scipy maps tol onto COBYLA's "tol" and SLSQP's "ftol".
+    result = _scipy_minimize(
+        wrapped, x0, method=_SCIPY_METHOD[cfg.optimizer], tol=cfg.tolerance,
+        options={"maxiter": cfg.max_iterations},
+    )
     if not trace:
         wrapped(x0)
     return MinimizeResult(
@@ -247,14 +241,6 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig) -> MinimizeRes
         evaluations=evaluations[0],
         converged=bool(result.success),
     )
-
-
-def _hamiltonian_pauli(h: HamiltonianSpec) -> PauliSum:
-    if h.pauli is not None:
-        return h.pauli
-    if h.diagonal is not None:
-        return decompose_diagonal(h.diagonal)
-    return decompose(h.matrix)
 
 
 def _sampled_expectation(p: PauliSum, state: np.ndarray, shots: int, rng) -> float:
@@ -277,16 +263,18 @@ def _sampled_expectation(p: PauliSum, state: np.ndarray, shots: int, rng) -> flo
 def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
     """Minimize <psi(theta)| H |psi(theta)> over the configured ansatz.
 
-    Exact-expectation mode respects the variational bound: the reported
-    energy cannot undercut the true ground energy.  Exhausting
-    ``max_iterations`` yields ``converged=False`` rather than an error.
+    Exact-expectation mode evaluates ``h.expectation`` on the stored
+    representation and respects the variational bound: the reported energy
+    cannot undercut the true ground energy.  Shot mode samples the terms of
+    ``h.as_pauli()``.  Exhausting ``max_iterations`` yields
+    ``converged=False`` rather than an error.
     """
     if h.qubits > STATEVECTOR_QUBIT_CAP:
         raise CapacityError(
             f"{h.qubits} qubits exceed the {STATEVECTOR_QUBIT_CAP}-qubit statevector cap; "
             "use per-mode partitioned runs"
         )
-    psum = _hamiltonian_pauli(h)
+    psum = h.as_pauli() if cfg.shots else None
     phased = cfg.ansatz == "ry-rz"
     build = ansatz_state_phased if phased else ansatz_state
     rng = np.random.default_rng(cfg.seed)
@@ -297,7 +285,7 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
         state = build(params, h.qubits, cfg.depth)
         if cfg.shots:
             return _sampled_expectation(psum, state, cfg.shots, shot_rng)
-        return expectation(psum, state)
+        return h.expectation(state)
 
     outcome = minimize(objective, x0, cfg)
     return VqeResult(
@@ -307,19 +295,6 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
         evaluations=outcome.evaluations,
         converged=outcome.converged,
     )
-
-
-def _family_modes(family: ModeFamily):
-    if family.statistics is Statistics.COMBINED:
-        members = (
-            ModeFamily(Statistics.BOSON, family.boundary, family.sites),
-            ModeFamily(Statistics.FERMION, family.boundary, family.sites),
-        )
-    else:
-        members = (family,)
-    for member in members:
-        for i in range(1, member.sites + 1):
-            yield member, i
 
 
 def partitioned_run(family: ModeFamily, cfg: VqeConfig = VqeConfig(),
@@ -332,15 +307,8 @@ def partitioned_run(family: ModeFamily, cfg: VqeConfig = VqeConfig(),
     """
     per_mode = []
     results = []
-    for k, (member, i) in enumerate(_family_modes(family)):
-        spec = mode_hamiltonian(member, i)
-        mode_cfg = VqeConfig(
-            depth=cfg.depth, optimizer=cfg.optimizer,
-            max_iterations=cfg.max_iterations, tolerance=cfg.tolerance,
-            seed=cfg.seed + k, shots=cfg.shots, ansatz=cfg.ansatz,
-            init_spread=cfg.init_spread,
-        )
-        result = run_vqe(spec, mode_cfg)
+    for k, (member, i) in enumerate(_modes(family)):
+        result = run_vqe(mode_hamiltonian(member, i), replace(cfg, seed=cfg.seed + k))
         per_mode.append(result.energy)
         results.append(result)
     correction = subtraction_constant(family.statistics)

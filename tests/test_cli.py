@@ -273,3 +273,44 @@ def test_outdir_env_var(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "sub" / "h.pauli").exists()
     assert (tmp_path / "sub" / "h.pauli.manifest.json").exists()
+
+
+def test_non_finite_input_exit_codes(capsys, tmp_path):
+    path = tmp_path / "nan.pauli"
+    path.write_text("qubits 1\nnan Z\n")
+    for argv in (["import", str(path)], ["exact", "--from-file", str(path)],
+                 ["vqe", "--from-file", str(path)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 5
+        assert "line 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--chiral", "--sites", "3", "--eta", "10", "--sweep", "1..3"],
+    ["exact", "--chiral", "--sites", "3", "--no-correction"],
+    ["exact", "--from-file", "h.pauli", "--sweep", "1..3"],
+    ["exact", "--family", "boson-periodic", "--scale", "0.5"],
+    ["exact", "--family", "boson-periodic", "--subtraction", "0"],
+    ["vqe", "--from-file", "h.pauli", "--scale", "0.5"],
+])
+def test_flags_the_selector_ignores_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "only applies with" in capsys.readouterr().err
+
+
+def test_vqe_record_is_valid_json_when_exact_energy_is_zero(capsys, tmp_path):
+    path = tmp_path / "zero.pauli"
+    path.write_text("qubits 1\n0.5 I\n-0.5 Z\n")
+    out_json = tmp_path / "zero.json"
+    code, out, _ = run_cli(capsys, "vqe", "--from-file", str(path), "--json", str(out_json))
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"invalid JSON constant {constant}")
+
+    for text in (out, out_json.read_text()):
+        record = json.loads(text, parse_constant=refuse)
+        assert record["exact_energy"] == 0.0
+        assert record["percent_difference"] is None

@@ -206,6 +206,15 @@ def test_serialize_parse_round_trip(qubits, data):
     assert parse(serialize(p)) == p
 
 
+def test_parse_rejects_non_finite_coefficients():
+    with pytest.raises(PauliFormatError, match="line 2.*non-finite"):
+        parse("qubits 1\nnan Z\ninf I\n")
+    with pytest.raises(PauliFormatError, match="line 3.*non-finite"):
+        parse("qubits 1\n1.0 Z\n-inf I\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        PauliSum(1, ((float("nan"), "Z"),))
+
+
 def test_parse_rejections():
     with pytest.raises(PauliFormatError, match="line 2.*'Q'"):
         parse("qubits 2\n1.0 XQ\n")
