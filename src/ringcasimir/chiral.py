@@ -34,11 +34,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import quad
 
 from .hamiltonian import CapacityError, HamiltonianSpec
-from .operators import FERMION_LOWER2, PAULI_Z, require_hermitian
+from .operators import bit_parity, require_hermitian
 
 __all__ = [
     "JW_QUBIT_CAP",
@@ -94,10 +93,10 @@ class ChiralSystem:
     def __post_init__(self):
         if self.sites < 2:
             raise ValueError(f"sites must be >= 2, got {self.sites}")
-        if self.eta < 1.0:
-            raise ValueError(f"eta must be >= 1, got {self.eta}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.eta) and self.eta >= 1.0):
+            raise ValueError(f"eta must be finite and >= 1, got {self.eta}")
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -200,23 +199,15 @@ def chiral_casimir(system: ChiralSystem, subtraction: float) -> float:
     return dirac_sea_energy(single_particle_matrix(system)) - subtraction
 
 
-def _sparse_jw_lowering(mode: int, n_modes: int) -> sparse.csr_matrix:
-    """Sparse Jordan-Wigner lowering operator (mode 1 = most significant)."""
-    z = sparse.csr_matrix(PAULI_Z)
-    low = sparse.csr_matrix(FERMION_LOWER2)
-    eye = sparse.identity(2, dtype=complex, format="csr")
-    op = None
-    for slot in range(1, n_modes + 1):
-        factor = z if slot < mode else low if slot == mode else eye
-        op = factor if op is None else sparse.kron(op, factor, format="csr")
-    return op
-
-
 def jordan_wigner_hamiltonian(t: np.ndarray) -> HamiltonianSpec:
     """Second-quantized H = sum_jk t_jk c_j^dag c_k on one qubit per mode.
 
-    The lowest eigenvalue equals :func:`dirac_sea_energy` of ``t``; capacity
-    is capped at ``JW_QUBIT_CAP`` qubits.
+    Built densely from bit operations, mode j (0-based) on bit b_j = 2^(n-1-j)
+    as in :func:`ringcasimir.operators.fermion_lower`: the hop j != k takes
+    each state i with b_k set and b_j clear to i ^ b_j ^ b_k with sign
+    (-1)^popcount(i & bits of the modes strictly between j and k), and j == k
+    adds t_jj on every state with b_j set.  The lowest eigenvalue equals
+    :func:`dirac_sea_energy` of ``t``; capped at ``JW_QUBIT_CAP`` qubits.
     """
     t = require_hermitian(np.asarray(t, dtype=complex))
     n_modes = t.shape[0]
@@ -224,18 +215,21 @@ def jordan_wigner_hamiltonian(t: np.ndarray) -> HamiltonianSpec:
         raise CapacityError(
             f"{n_modes} fermionic modes exceed the {JW_QUBIT_CAP}-qubit cap"
         )
-    lowering = [_sparse_jw_lowering(i, n_modes) for i in range(1, n_modes + 1)]
-    dim = 2**n_modes
-    h = sparse.csr_matrix((dim, dim), dtype=complex)
-    for j in range(n_modes):
-        raising_j = lowering[j].conj().T.tocsr()
-        for k in range(n_modes):
-            if t[j, k] != 0:
-                h = h + t[j, k] * (raising_j @ lowering[k])
-    dense = np.asarray(h.todense())
+    idx = np.arange(2**n_modes)
+    signs = np.where(bit_parity(idx), -1.0, 1.0)  # (-1)^popcount(i)
+    h = np.zeros((idx.size, idx.size), dtype=complex)
+    for j, k in zip(*np.nonzero(t)):  # row-major: diagonal sums keep their order
+        bj, bk = 1 << (n_modes - 1 - int(j)), 1 << (n_modes - 1 - int(k))
+        if j == k:
+            occupied = idx[(idx & bj) != 0]
+            h[occupied, occupied] += t[j, j]
+            continue
+        cols = idx[((idx & bk) != 0) & ((idx & bj) == 0)]
+        between = (max(bj, bk) - 1) & ~(2 * min(bj, bk) - 1)
+        h[cols ^ bj ^ bk, cols] += t[j, k] * signs[cols & between]
     return HamiltonianSpec(
         qubits=n_modes,
-        matrix=dense,
+        matrix=h,
         label=f"jordan-wigner {n_modes} modes",
     )
 

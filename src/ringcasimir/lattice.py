@@ -213,22 +213,15 @@ def large_n_series(family: ModeFamily, order: int) -> float:
     return sum(c / n**k for c, k in zip(coeffs[: order - 1], range(2, order + 1)))
 
 
-_CONTINUUM = {
-    (Statistics.BOSON, Boundary.PERIODIC): -math.pi / 6.0,
-    (Statistics.BOSON, Boundary.TWISTED): math.pi / 12.0,
-    (Statistics.FERMION, Boundary.PERIODIC): 4.0 * math.pi / 6.0,
-    (Statistics.FERMION, Boundary.TWISTED): -4.0 * math.pi / 12.0,
-}
-
-
 def continuum_density(family: ModeFamily, radius: float) -> float:
-    """Continuum Casimir energy density on a spatial circle of ``radius``."""
+    """Continuum Casimir energy density on a spatial circle of ``radius``:
+    the leading 1/N^2 coefficient of :func:`large_n_series` over radius^2."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     key = (family.statistics, family.boundary)
-    if key not in _CONTINUUM:
+    if key not in _SERIES:
         raise ValueError("density is defined for the four boson/fermion families")
-    return _CONTINUUM[key] / radius**2
+    return _SERIES[key][0] / radius**2
 
 
 def _mode_diagonal(statistics: Statistics, omega: float) -> np.ndarray:

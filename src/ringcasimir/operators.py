@@ -26,6 +26,7 @@ __all__ = [
     "KRON_DIM_CAP",
     "HERMITICITY_TOL",
     "CapacityError",
+    "bit_parity",
     "kron_chain",
     "boson_lower",
     "fermion_lower",
@@ -63,6 +64,16 @@ HERMITICITY_TOL = 1e-10
 
 class CapacityError(RuntimeError):
     """A requested dense object exceeds the configured size cap."""
+
+
+def bit_parity(values: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each entry of an integer array (True = odd)."""
+    v = values.copy()
+    shift = 1
+    while shift < v.dtype.itemsize * 8:
+        v ^= v >> shift
+        shift *= 2
+    return (v & 1).astype(bool)
 
 
 def kron_chain(factors, dim_cap: int = KRON_DIM_CAP) -> np.ndarray:

@@ -6,6 +6,12 @@ to direct per-string traces, just not quadratic in the dimension).  Diagonal
 operators take a 2^n-string {I, Z} fast path so the 16-qubit ring
 Hamiltonians stay cheap.
 
+Every string action uses the x/z bit-mask (symplectic) form of Aaronson and
+Gottesman, quant-ph/0406196: a string is held as masks ``x`` (bits whose
+letter is X or Y) and ``z`` (Y or Z) plus its count n_Y of Y letters, and as
+Y = iXZ it maps |i> to i^n_Y (-1)^popcount(i & z) |i ^ x>.  Reconstruction,
+expectation values and the diagonal strings (x = 0) all use that one rule.
+
 Text format (bit-exact round trip)::
 
     # ringcasimir pauli v1
@@ -30,7 +36,7 @@ from .operators import (
     PAULI_Y,
     PAULI_Z,
     CapacityError,
-    kron_chain,
+    bit_parity,
     require_hermitian,
 )
 
@@ -46,13 +52,16 @@ __all__ = [
     "is_diagonal",
     "diagonal_part",
     "term_count",
+    "term_values",
     "expectation",
     "serialize",
     "parse",
 ]
 
 ALPHABET = "IXYZ"
-_MATRICES = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+_X_BITS = str.maketrans(ALPHABET, "0110")
+_Z_BITS = str.maketrans(ALPHABET, "0011")
+_PHASES = (1.0, 1j, -1.0, -1j)
 _STACK = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 DROP_TOL = 1e-12
@@ -187,41 +196,39 @@ def decompose_diagonal(diagonal: np.ndarray, drop_tol: float = DROP_TOL) -> Paul
     return PauliSum(qubits, tuple(terms))
 
 
+def _string_actions(p: PauliSum):
+    """Each term as ``(coefficient, flip, f)`` with P|i> = f[i] |flip[i]>:
+    flip = i ^ x and f = i^n_Y (-1)^popcount(i & z) over the indices i."""
+    idx = np.arange(2**p.qubits)
+    signs = np.where(bit_parity(idx), -1.0, 1.0)  # (-1)^popcount(i)
+    for coefficient, letters in p.terms:
+        x = int(letters.translate(_X_BITS), 2)
+        z = int(letters.translate(_Z_BITS), 2)
+        yield coefficient, idx ^ x, _PHASES[letters.count("Y") % 4] * signs[idx & z]
+
+
 def is_diagonal(p: PauliSum) -> bool:
-    return all(set(letters) <= {"I", "Z"} for _, letters in p.terms)
+    """True when every string has x = 0 (only I and Z letters)."""
+    return all(int(letters.translate(_X_BITS), 2) == 0 for _, letters in p.terms)
 
 
 def diagonal_part(p: PauliSum) -> np.ndarray:
     """Diagonal of a {I, Z}-only PauliSum as a real vector."""
     if not is_diagonal(p):
         raise ValueError("PauliSum has off-diagonal strings")
-    dim = 2**p.qubits
-    idx = np.arange(dim)
-    out = np.zeros(dim)
-    for coefficient, letters in p.terms:
-        mask = int(letters.replace("I", "0").replace("Z", "1"), 2)
-        parity = _bit_parity(idx & mask)
-        out += coefficient * np.where(parity, -1.0, 1.0)
+    out = np.zeros(2**p.qubits)
+    for coefficient, _, f in _string_actions(p):
+        out += coefficient * f
     return out
-
-
-def _bit_parity(values: np.ndarray) -> np.ndarray:
-    v = values.copy()
-    shift = 1
-    while shift < v.dtype.itemsize * 8:
-        v ^= v >> shift
-        shift *= 2
-    return (v & 1).astype(bool)
 
 
 def reconstruct(p: PauliSum) -> np.ndarray:
     """Dense matrix sum(c_P P); inverse of :func:`decompose` at drop_tol 0."""
-    if is_diagonal(p):
-        return np.diag(diagonal_part(p).astype(complex))
     dim = 2**p.qubits
+    idx = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
-    for coefficient, letters in p.terms:
-        out += coefficient * kron_chain([_MATRICES[ch] for ch in letters])
+    for coefficient, flip, f in _string_actions(p):
+        out[flip, idx] += coefficient * f
     return out
 
 
@@ -243,30 +250,8 @@ def term_count(family, N: int) -> int:
     return len(decompose_diagonal(shifted, DROP_TOL))
 
 
-def _apply_string(state: np.ndarray, letters: str) -> np.ndarray:
-    """P |state> for one Pauli string, acting qubit by qubit."""
-    qubits = len(letters)
-    out = state
-    for q, ch in enumerate(letters):
-        if ch == "I":
-            continue
-        view = out.reshape(2**q, 2, -1)
-        if ch == "X":
-            out = view[:, ::-1, :].reshape(-1).copy()
-        elif ch == "Y":
-            flipped = view[:, ::-1, :].astype(complex).copy()
-            flipped[:, 0, :] *= -1j
-            flipped[:, 1, :] *= 1j
-            out = flipped.reshape(-1)
-        else:
-            signed = view.copy()
-            signed[:, 1, :] *= -1
-            out = signed.reshape(-1)
-    return out.reshape(-1)
-
-
-def expectation(p: PauliSum, state: np.ndarray) -> float:
-    """<state| P |state> summed over terms, without a dense matrix.
+def term_values(p: PauliSum, state: np.ndarray) -> np.ndarray:
+    """<state| P |state> of each string, in term order, without a dense matrix.
 
     The state must have dimension 2^qubits and unit norm within 1e-8.
     """
@@ -278,10 +263,18 @@ def expectation(p: PauliSum, state: np.ndarray) -> float:
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+    return np.array(
+        [np.vdot(state[flip], f * state).real for _, flip, f in _string_actions(p)]
+    )
+
+
+def expectation(p: PauliSum, state: np.ndarray) -> float:
+    """<state| P |state>: the coefficients dotted with :func:`term_values`,
+    summed in term order."""
     total = 0.0
-    for coefficient, letters in p.terms:
-        total += coefficient * float(np.real(np.vdot(state, _apply_string(state, letters))))
-    return total
+    for (coefficient, _), value in zip(p.terms, term_values(p, state)):
+        total += coefficient * value
+    return float(total)
 
 
 def serialize(p: PauliSum) -> str:

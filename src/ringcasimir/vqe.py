@@ -36,7 +36,7 @@ from .lattice import (
     percent_difference,
     subtraction_constant,
 )
-from .pauli import PauliSum
+from .pauli import PauliSum, term_values
 
 __all__ = [
     "STATEVECTOR_QUBIT_CAP",
@@ -91,14 +91,14 @@ class VqeConfig:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be a positive count, got {self.shots}")
         if self.ansatz not in ("ry", "ry-rz"):
             raise ValueError(f"unknown ansatz {self.ansatz!r}; use 'ry' or 'ry-rz'")
-        if self.init_spread <= 0:
-            raise ValueError(f"init_spread must be positive, got {self.init_spread}")
+        if not (math.isfinite(self.init_spread) and self.init_spread > 0):
+            raise ValueError(f"init_spread must be positive and finite, got {self.init_spread}")
 
 
 @dataclass
@@ -123,6 +123,10 @@ class VqeResult:
             "evaluations": self.evaluations,
             "converged": self.converged,
         }
+
+
+class _BudgetSpent(Exception):
+    """COBYLA asked for more than ``max_iterations`` evaluations."""
 
 
 @dataclass
@@ -211,14 +215,18 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig) -> MinimizeRes
 
     Returns the best *evaluated* point together with the full improving-
     evaluation trace; ``converged`` is False when the iteration budget ran
-    out before the optimizer's own stopping rule fired.
+    out before the optimizer's own stopping rule fired.  COBYLA's budget
+    counts evaluations and is cut off at ``max_iterations`` exactly.
     """
     x0 = np.asarray(x0, dtype=float)
     best = {"fun": math.inf, "x": x0.copy()}
     trace: list = []
     evaluations = [0]
+    linear = cfg.optimizer is Optimizer.LINEAR
 
     def wrapped(x):
+        if linear and evaluations[0] >= cfg.max_iterations:
+            raise _BudgetSpent
         value = float(objective(np.asarray(x, dtype=float)))
         evaluations[0] += 1
         if value < best["fun"]:
@@ -227,34 +235,33 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig) -> MinimizeRes
             trace.append((evaluations[0], value))
         return value
 
-    # scipy maps tol onto COBYLA's "tol" and SLSQP's "ftol".
-    result = _scipy_minimize(
-        wrapped, x0, method=_SCIPY_METHOD[cfg.optimizer], tol=cfg.tolerance,
-        options={"maxiter": cfg.max_iterations},
-    )
-    if not trace:
-        wrapped(x0)
+    # COBYLA refuses a budget below the n + 2 points of its first simplex.
+    maxiter = max(cfg.max_iterations, x0.size + 2) if linear else cfg.max_iterations
+    try:
+        # scipy maps tol onto COBYLA's "tol" and SLSQP's "ftol".
+        result = _scipy_minimize(wrapped, x0, method=_SCIPY_METHOD[cfg.optimizer],
+                                 tol=cfg.tolerance, options={"maxiter": maxiter})
+        converged = bool(result.success)
+    except _BudgetSpent:
+        converged = False
     return MinimizeResult(
         x=best["x"],
         fun=best["fun"],
         trace=trace,
         evaluations=evaluations[0],
-        converged=bool(result.success),
+        converged=converged,
     )
 
 
 def _sampled_expectation(p: PauliSum, state: np.ndarray, shots: int, rng) -> float:
     """Finite-shot estimate: each non-identity term is measured ``shots``
-    times as an independent +-1 binomial."""
-    from .pauli import _apply_string
-
+    times as an independent +-1 binomial around its exact value."""
     total = 0.0
-    for coefficient, letters in p.terms:
+    for (coefficient, letters), mean in zip(p.terms, term_values(p, state)):
         if set(letters) == {"I"}:
             total += coefficient
             continue
-        mean = float(np.real(np.vdot(state, _apply_string(state, letters))))
-        mean = min(1.0, max(-1.0, mean))
+        mean = min(1.0, max(-1.0, float(mean)))
         ones = rng.binomial(shots, (1.0 + mean) / 2.0)
         total += coefficient * (2.0 * ones / shots - 1.0)
     return total

@@ -232,20 +232,23 @@ def test_jw_trivial_two_modes():
     assert spec.ground_energy() == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_jw_matches_dense_operator_construction():
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_jw_matches_dense_operator_construction(n, seed):
     # oracle: assemble sum t_jk c_j^dag c_k from the dense Jordan-Wigner
-    # operators directly
-    rng = np.random.default_rng(8)
-    n = 4
+    # operators directly, for random Hermitian t with complex hops, nonzero
+    # real diagonals and some zero entries
+    rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     t = (a + a.conj().T) / 2
-    spec = jordan_wigner_hamiltonian(t)
+    zeros = rng.random((n, n)) < 0.3
+    t[zeros | zeros.T] = 0.0
     ops = [fermion_lower(i, n) for i in range(1, n + 1)]
     dense = np.zeros((2**n, 2**n), dtype=complex)
     for j in range(n):
         for k in range(n):
             dense += t[j, k] * (ops[j].conj().T @ ops[k])
-    assert np.max(np.abs(spec.matrix - dense)) < 1e-12
+    assert np.max(np.abs(jordan_wigner_hamiltonian(t).matrix - dense)) <= 1e-12
 
 
 @pytest.mark.parametrize("L,eta", [(2, 1.0), (2, 10.0), (3, 10.0)])
@@ -267,6 +270,11 @@ def test_chiral_system_validation():
         ChiralSystem(6, 0.5)
     with pytest.raises(ValueError):
         ChiralSystem(6, 1.0, scale=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ChiralSystem(6, bad)
+        with pytest.raises(ValueError, match="finite"):
+            ChiralSystem(6, 1.0, scale=bad)
 
 
 def test_chiral_vqe_small_instance():

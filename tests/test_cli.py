@@ -134,6 +134,14 @@ def test_vqe_not_converged_exit_code(capsys):
     assert code == 3
 
 
+def test_vqe_non_finite_init_spread_is_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "vqe", "--family", "fermion-periodic", "--sites", "1", "--init-spread", "nan",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "init_spread" in err
+
+
 def test_vqe_capacity_exit_code(capsys):
     code, _, err = run_cli(capsys, "vqe", "--chiral", "--sites", "7", "--eta", "5")
     assert code == 4

@@ -9,6 +9,7 @@ from ringcasimir.operators import (
     PAULI_X,
     PAULI_Z,
     CapacityError,
+    bit_parity,
     boson_lower,
     fermion_lower,
     hermitian_eigen,
@@ -17,6 +18,11 @@ from ringcasimir.operators import (
 )
 
 I2 = np.eye(2)
+
+
+def test_bit_parity_matches_popcount():
+    values = np.array([0, 1, 2, 3, 0b1011, 2**40 + 5, 2**62 + 2**31 + 1], dtype=np.int64)
+    assert list(bit_parity(values)) == [bin(int(v)).count("1") % 2 == 1 for v in values]
 
 
 def test_kron_identity_cases():

@@ -20,6 +20,7 @@ from ringcasimir.pauli import (
     reconstruct,
     serialize,
     term_count,
+    term_values,
 )
 
 MATRICES = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -167,6 +168,33 @@ def test_expectation_matches_dense_oracle(qubits, seed):
     state /= np.linalg.norm(state)
     dense_value = float(np.real(np.vdot(state, reconstruct(p) @ state)))
     assert expectation(p, state) == pytest.approx(dense_value, abs=1e-9)
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_every_string_matches_kron_oracle(qubits):
+    """The x/z mask kernel against the dense Kronecker product, string by
+    string: matrix, per-term value (the mean shot mode samples),
+    expectation and diagonal."""
+    rng = np.random.default_rng(qubits)
+    state = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
+    state /= np.linalg.norm(state)
+    for letters in map("".join, itertools.product(ALPHABET, repeat=qubits)):
+        dense = dense_string(letters)
+        p = PauliSum(qubits, ((0.75, letters),))
+        value = np.vdot(state, dense @ state).real
+        assert np.max(np.abs(reconstruct(p) - 0.75 * dense)) <= 1e-15
+        assert abs(term_values(p, state)[0] - value) <= 1e-15
+        assert abs(expectation(p, state) - 0.75 * value) <= 1e-15
+        assert is_diagonal(p) == (set(letters) <= {"I", "Z"})
+        if is_diagonal(p):
+            assert np.max(np.abs(diagonal_part(p) - 0.75 * np.diag(dense).real)) <= 1e-15
+
+
+def test_term_values_follow_term_order():
+    p = PauliSum(2, ((0.5, "XY"), (-2.0, "ZI"), (1.0, "II")))
+    state = np.array([1.0, 1.0j, -1.0, 0.5]) / np.sqrt(3.25)
+    expected = [np.vdot(state, dense_string(s) @ state).real for _, s in p.terms]
+    assert np.allclose(term_values(p, state), expected, atol=1e-15)
 
 
 def test_expectation_errors():

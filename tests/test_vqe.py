@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,7 @@ def test_minimize_budget_exhaustion_flags_not_converged():
     out = minimize(lambda x: float(np.sum(x**2)), np.array([5.0, 5.0]), cfg)
     assert not out.converged
     assert np.isfinite(out.fun)
+    assert out.evaluations <= 3
 
 
 def one_qubit_scan_minimum(omega, points=20001):
@@ -252,3 +255,8 @@ def test_vqe_config_validation():
         VqeConfig(ansatz="uccsd")
     with pytest.raises(ValueError):
         VqeConfig(init_spread=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            VqeConfig(tolerance=bad)
+        with pytest.raises(ValueError, match="finite"):
+            VqeConfig(init_spread=bad)
