@@ -37,10 +37,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .hamiltonian import CapacityError, HamiltonianSpec
-from .operators import bit_parity, require_hermitian
+from .operators import DENSE_QUBIT_CAP, bit_parity, require_hermitian
 
 __all__ = [
-    "JW_QUBIT_CAP",
     "REFERENCE_SITES",
     "REFERENCE_ETA",
     "REFERENCE_GROUND_ENERGY",
@@ -62,8 +61,6 @@ __all__ = [
     "reference_system",
     "continuum_casimir_target",
 ]
-
-JW_QUBIT_CAP = 12
 
 # Reference point used to calibrate the overall normalization, and the
 # subtraction constant quoted with it (accepted as given; see README).
@@ -185,8 +182,10 @@ def bulk_density(eta: float, scale: float = 1.0) -> float:
     finite-lattice sea energy per site approaches this with an O(1/L^2)
     residual (the integrand has a kink at p = 0).
     """
-    if eta < 1.0:
-        raise ValueError(f"eta must be >= 1, got {eta}")
+    if not (math.isfinite(eta) and eta >= 1.0):
+        raise ValueError(f"eta must be finite and >= 1, got {eta}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     value, _ = quad(
         lambda p: dispersion(p, eta).lambda_minus,
         0.0, 2.0 * math.pi, epsabs=1e-10, epsrel=1e-12, limit=400,
@@ -207,13 +206,13 @@ def jordan_wigner_hamiltonian(t: np.ndarray) -> HamiltonianSpec:
     each state i with b_k set and b_j clear to i ^ b_j ^ b_k with sign
     (-1)^popcount(i & bits of the modes strictly between j and k), and j == k
     adds t_jj on every state with b_j set.  The lowest eigenvalue equals
-    :func:`dirac_sea_energy` of ``t``; capped at ``JW_QUBIT_CAP`` qubits.
+    :func:`dirac_sea_energy` of ``t``; capped at ``DENSE_QUBIT_CAP`` qubits.
     """
     t = require_hermitian(np.asarray(t, dtype=complex))
     n_modes = t.shape[0]
-    if n_modes > JW_QUBIT_CAP:
+    if n_modes > DENSE_QUBIT_CAP:
         raise CapacityError(
-            f"{n_modes} fermionic modes exceed the {JW_QUBIT_CAP}-qubit cap"
+            f"{n_modes} fermionic modes exceed the {DENSE_QUBIT_CAP}-qubit cap"
         )
     idx = np.arange(2**n_modes)
     signs = np.where(bit_parity(idx), -1.0, 1.0)  # (-1)^popcount(i)

@@ -51,6 +51,7 @@ from .lattice import (
 )
 from .pauli import PauliFormatError, decompose_diagonal, parse, serialize, term_count
 from .vqe import (
+    ANSATZE,
     Optimizer,
     VqeConfig,
     combined_trace,
@@ -321,7 +322,7 @@ def _add_vqe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--shots", type=int, default=None,
                    help="sample each Pauli term this many times (default: exact)")
-    p.add_argument("--ansatz", choices=["ry", "ry-rz"], default="ry")
+    p.add_argument("--ansatz", choices=ANSATZE, default="ry")
     p.add_argument("--init-spread", type=float, default=0.1,
                    help="half-width of the uniform initial-parameter window")
 

@@ -19,11 +19,10 @@ from typing import Any, Optional
 import numpy as np
 
 from . import pauli as _pauli
-from .operators import CapacityError, require_hermitian
+from .operators import DENSE_QUBIT_CAP, CapacityError, require_hermitian
 
 __all__ = ["HamiltonianSpec", "DENSE_QUBIT_CAP", "RING_QUBIT_CAP", "CapacityError"]
 
-DENSE_QUBIT_CAP = 12
 RING_QUBIT_CAP = 16
 
 

@@ -112,14 +112,6 @@ def _prefactor(statistics: Statistics, sites: int) -> float:
     raise ValueError("combined family has no single prefactor; use the constituents")
 
 
-def _frequency(statistics: Statistics, boundary: Boundary, sites: int, index: float) -> float:
-    # index is allowed to be non-integral / zero here; the public
-    # mode_frequency enforces the 1..N range used in energy sums.
-    shift = 0.0 if boundary is Boundary.PERIODIC else 0.5
-    theta = 2.0 * math.pi * (index + shift) / (4 * sites + 2)
-    return _prefactor(statistics, sites) * 2.0 * math.sin(theta)
-
-
 def _constituents(family: ModeFamily):
     if family.statistics is Statistics.COMBINED:
         return (
@@ -142,7 +134,9 @@ def mode_frequency(family: ModeFamily, i: int) -> float:
         raise ValueError("combined family: query the boson or fermion constituent")
     if not 1 <= i <= family.sites:
         raise ValueError(f"mode index {i} outside 1..{family.sites}")
-    return _frequency(family.statistics, family.boundary, family.sites, i)
+    shift = 0.0 if family.boundary is Boundary.PERIODIC else 0.5
+    theta = 2.0 * math.pi * (i + shift) / (4 * family.sites + 2)
+    return _prefactor(family.statistics, family.sites) * 2.0 * math.sin(theta)
 
 
 def subtraction_constant(statistics: Statistics) -> float:
@@ -303,17 +297,6 @@ class CasimirReport:
     percent_difference: float
     per_mode_energies: list = field(default_factory=list)
     subtraction: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.label,
-            "sites": self.family.sites,
-            "exact_energy": self.exact_energy,
-            "vqe_energy": self.vqe_energy,
-            "percent_difference": self.percent_difference,
-            "per_mode_energies": list(self.per_mode_energies),
-            "subtraction": self.subtraction,
-        }
 
 
 def percent_difference(vqe_energy: float, exact_energy: float) -> float:

@@ -24,6 +24,7 @@ __all__ = [
     "BOSON_LOWER4",
     "FERMION_LOWER2",
     "KRON_DIM_CAP",
+    "DENSE_QUBIT_CAP",
     "HERMITICITY_TOL",
     "CapacityError",
     "bit_parity",
@@ -59,6 +60,10 @@ FERMION_LOWER2 = np.array([[0, 1], [0, 0]], dtype=complex)
 # Dense Kronecker products refuse to build anything above this dimension.
 KRON_DIM_CAP = 2**20
 
+# No dense 2^n x 2^n operator (matrix, Pauli decomposition, Jordan-Wigner
+# Hamiltonian) is built above this many qubits.
+DENSE_QUBIT_CAP = 12
+
 HERMITICITY_TOL = 1e-10
 
 
@@ -76,11 +81,11 @@ def bit_parity(values: np.ndarray) -> np.ndarray:
     return (v & 1).astype(bool)
 
 
-def kron_chain(factors, dim_cap: int = KRON_DIM_CAP) -> np.ndarray:
+def kron_chain(factors) -> np.ndarray:
     """Kronecker product of ``factors`` in list order (first factor leftmost).
 
     Raises ``ValueError`` on an empty list or non-square factor, and
-    ``CapacityError`` if the product dimension would exceed ``dim_cap``.
+    ``CapacityError`` if the product dimension would exceed ``KRON_DIM_CAP``.
     """
     factors = [np.asarray(f, dtype=complex) for f in factors]
     if not factors:
@@ -90,8 +95,8 @@ def kron_chain(factors, dim_cap: int = KRON_DIM_CAP) -> np.ndarray:
         if f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise ValueError(f"factor {k} is not a square matrix: shape {f.shape}")
         dim *= f.shape[0]
-    if dim > dim_cap:
-        raise CapacityError(f"kron_chain dimension {dim} exceeds cap {dim_cap}")
+    if dim > KRON_DIM_CAP:
+        raise CapacityError(f"kron_chain dimension {dim} exceeds cap {KRON_DIM_CAP}")
     return reduce(np.kron, factors)
 
 

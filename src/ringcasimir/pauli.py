@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .operators import (
+    DENSE_QUBIT_CAP,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
@@ -43,7 +43,6 @@ from .operators import (
 __all__ = [
     "ALPHABET",
     "DROP_TOL",
-    "DECOMPOSE_QUBIT_CAP",
     "PauliFormatError",
     "PauliSum",
     "decompose",
@@ -65,7 +64,6 @@ _PHASES = (1.0, 1j, -1.0, -1j)
 _STACK = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 DROP_TOL = 1e-12
-DECOMPOSE_QUBIT_CAP = 12
 
 
 class PauliFormatError(ValueError):
@@ -111,13 +109,6 @@ class PauliSum:
             seen.add(letters)
         object.__setattr__(self, "terms", tuple(sorted(coerced, key=_term_key)))
 
-    @classmethod
-    def from_terms(cls, qubits: int, terms: Iterable, drop_tol: float = DROP_TOL) -> "PauliSum":
-        kept = tuple(
-            (float(c), str(s)) for c, s in terms if abs(float(c)) > drop_tol
-        )
-        return cls(qubits, kept)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -139,7 +130,7 @@ def _coefficient_tensor(h: np.ndarray, qubits: int) -> np.ndarray:
 def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     """Decompose a Hermitian matrix into a PauliSum, dropping |c| <= drop_tol.
 
-    The dimension must be a power of two with at most ``DECOMPOSE_QUBIT_CAP``
+    The dimension must be a power of two with at most ``DENSE_QUBIT_CAP``
     qubits; exactly diagonal input is routed through the {I, Z}-only path.
     """
     h = np.asarray(h, dtype=complex)
@@ -153,9 +144,9 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     diag = np.diagonal(h)
     if not np.any(h - np.diag(diag)):
         return decompose_diagonal(diag.real, drop_tol)
-    if qubits > DECOMPOSE_QUBIT_CAP:
+    if qubits > DENSE_QUBIT_CAP:
         raise CapacityError(
-            f"{qubits} qubits exceed the {DECOMPOSE_QUBIT_CAP}-qubit decomposition cap"
+            f"{qubits} qubits exceed the {DENSE_QUBIT_CAP}-qubit decomposition cap"
         )
     coeffs = _coefficient_tensor(h, qubits)
     if np.max(np.abs(coeffs.imag)) > 1e-10:

@@ -5,7 +5,8 @@ interleaved with a fixed linear-chain controlled-Z entangler.  The default
 "ry" family produces real amplitudes, which is all the diagonal ring
 Hamiltonians need; the "ry-rz" family adds a phase rotation per qubit and
 layer for Hamiltonians with genuinely complex ground states (the chiral
-single-particle matrix).
+single-particle matrix).  Either family is one gate list that
+:func:`ansatz_state` walks.
 
 Classical optimization is delegated to scipy.optimize: "linear" maps to
 COBYLA (derivative-free linear trust-region) and "quadratic" to SLSQP
@@ -20,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,11 +40,11 @@ from .lattice import (
 from .pauli import PauliSum, term_values
 
 __all__ = [
+    "ANSATZE",
     "STATEVECTOR_QUBIT_CAP",
     "Optimizer",
     "VqeConfig",
     "VqeResult",
-    "MinimizeResult",
     "n_parameters",
     "ansatz_state",
     "ansatz_state_phased",
@@ -53,6 +54,7 @@ __all__ = [
 ]
 
 STATEVECTOR_QUBIT_CAP = 12
+ANSATZE = ("ry", "ry-rz")
 
 
 class Optimizer(enum.Enum):
@@ -95,8 +97,8 @@ class VqeConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be a positive count, got {self.shots}")
-        if self.ansatz not in ("ry", "ry-rz"):
-            raise ValueError(f"unknown ansatz {self.ansatz!r}; use 'ry' or 'ry-rz'")
+        if self.ansatz not in ANSATZE:
+            raise ValueError(f"unknown ansatz {self.ansatz!r}; use one of {ANSATZE}")
         if not (math.isfinite(self.init_spread) and self.init_spread > 0):
             raise ValueError(f"init_spread must be positive and finite, got {self.init_spread}")
 
@@ -115,32 +117,34 @@ class VqeResult:
     evaluations: int
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "energy": self.energy,
-            "parameters": [float(x) for x in self.parameters],
-            "iterations": len(self.trace),
-            "evaluations": self.evaluations,
-            "converged": self.converged,
-        }
-
 
 class _BudgetSpent(Exception):
     """COBYLA asked for more than ``max_iterations`` evaluations."""
 
 
-@dataclass
-class MinimizeResult:
-    x: np.ndarray
-    fun: float
-    trace: list
-    evaluations: int
-    converged: bool
+@lru_cache(maxsize=None)
+def _gates(qubits: int, depth: int, ansatz: str) -> tuple:
+    """The ansatz as ``(gate, qubit)`` pairs in application order, with its
+    rotation count.
+
+    Each of the ``depth + 1`` layers is RY on every qubit, then (for
+    "ry-rz") RZ on every qubit; a CZ chain (qubit ``None``) precedes every
+    layer but the first.  The k-th rotation in the list takes parameter k.
+    """
+    if ansatz not in ANSATZE:
+        raise ValueError(f"unknown ansatz {ansatz!r}; use one of {ANSATZE}")
+    if qubits < 1 or depth < 0:
+        raise ValueError(f"need qubits >= 1 and depth >= 0, got {qubits} and {depth}")
+    layer = [("ry", q) for q in range(qubits)]
+    if ansatz == "ry-rz":
+        layer += [("rz", q) for q in range(qubits)]
+    entangler = [("cz", None)] if qubits > 1 else []
+    gates = tuple(layer + (entangler + layer) * depth)
+    return gates, sum(gate != "cz" for gate, _ in gates)
 
 
 def n_parameters(qubits: int, depth: int, ansatz: str = "ry") -> int:
-    per_layer = qubits if ansatz == "ry" else 2 * qubits
-    return per_layer * (depth + 1)
+    return _gates(qubits, depth, ansatz)[1]
 
 
 @lru_cache(maxsize=None)
@@ -155,62 +159,46 @@ def _cz_chain_signs(qubits: int) -> np.ndarray:
     return signs
 
 
-def _apply_ry(state: np.ndarray, qubit: int, theta: float) -> np.ndarray:
-    view = state.reshape(2**qubit, 2, -1)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    a = view[:, 0, :].copy()
-    b = view[:, 1, :].copy()
-    view[:, 0, :] = c * a - s * b
-    view[:, 1, :] = s * a + c * b
-    return state
+def ansatz_state(parameters: np.ndarray, qubits: int, depth: int,
+                 ansatz: str = "ry") -> np.ndarray:
+    """Statevector of the ``ansatz`` gate list applied to |0...0>.
 
-
-def _apply_rz(state: np.ndarray, qubit: int, phi: float) -> np.ndarray:
-    view = state.reshape(2**qubit, 2, -1)
-    view[:, 0, :] *= np.exp(-0.5j * phi)
-    view[:, 1, :] *= np.exp(0.5j * phi)
-    return state
-
-
-def ansatz_state(parameters: np.ndarray, qubits: int, depth: int) -> np.ndarray:
-    """Real-amplitude ansatz state: RY layers joined by CZ chains.
-
-    Expects ``qubits * (depth + 1)`` parameters; depth 0 with all-zero
-    parameters is the all-zeros basis state.
+    "ry" gives real amplitudes; "ry-rz" follows each RY layer with an RZ
+    layer and reaches complex ones.  Takes one parameter per rotation,
+    ``n_parameters(qubits, depth, ansatz)`` in all; all zero gives |0...0>.
     """
-    return _build_state(parameters, qubits, depth, phased=False)
-
-
-def ansatz_state_phased(parameters: np.ndarray, qubits: int, depth: int) -> np.ndarray:
-    """RY+RZ ansatz (``2 * qubits * (depth + 1)`` parameters) able to reach
-    complex-amplitude ground states."""
-    return _build_state(parameters, qubits, depth, phased=True)
-
-
-def _build_state(parameters, qubits, depth, phased: bool) -> np.ndarray:
+    gates, count = _gates(qubits, depth, ansatz)
     parameters = np.asarray(parameters, dtype=float).reshape(-1)
-    per_layer = 2 * qubits if phased else qubits
-    expected = per_layer * (depth + 1)
-    if parameters.shape[0] != expected:
+    if parameters.shape[0] != count:
         raise ValueError(
-            f"expected {expected} parameters for {qubits} qubits at depth {depth}, "
+            f"expected {count} parameters for {qubits} qubits at depth {depth}, "
             f"got {parameters.shape[0]}"
         )
     state = np.zeros(2**qubits, dtype=complex)
     state[0] = 1.0
-    layers = parameters.reshape(depth + 1, per_layer)
-    for d in range(depth + 1):
-        if d > 0 and qubits > 1:
+    angles = iter(parameters)
+    for gate, q in gates:
+        if gate == "cz":
             state *= _cz_chain_signs(qubits)
-        for q in range(qubits):
-            state = _apply_ry(state, q, layers[d, q])
-        if phased:
-            for q in range(qubits):
-                state = _apply_rz(state, q, layers[d, qubits + q])
+            continue
+        angle = next(angles)
+        view = state.reshape(2**q, 2, -1)
+        if gate == "ry":
+            c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+            a = view[:, 0, :].copy()
+            b = view[:, 1, :].copy()
+            view[:, 0, :] = c * a - s * b
+            view[:, 1, :] = s * a + c * b
+        else:
+            view[:, 0, :] *= np.exp(-0.5j * angle)
+            view[:, 1, :] *= np.exp(0.5j * angle)
     return state
 
 
-def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig) -> MinimizeResult:
+ansatz_state_phased = partial(ansatz_state, ansatz="ry-rz")
+
+
+def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig) -> VqeResult:
     """Minimize ``objective`` from ``x0`` under the configured optimizer.
 
     Returns the best *evaluated* point together with the full improving-
@@ -244,9 +232,9 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig) -> MinimizeRes
         converged = bool(result.success)
     except _BudgetSpent:
         converged = False
-    return MinimizeResult(
-        x=best["x"],
-        fun=best["fun"],
+    return VqeResult(
+        energy=best["fun"],
+        parameters=best["x"],
         trace=trace,
         evaluations=evaluations[0],
         converged=converged,
@@ -282,26 +270,17 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
             "use per-mode partitioned runs"
         )
     psum = h.as_pauli() if cfg.shots else None
-    phased = cfg.ansatz == "ry-rz"
-    build = ansatz_state_phased if phased else ansatz_state
     rng = np.random.default_rng(cfg.seed)
     x0 = rng.uniform(-cfg.init_spread, cfg.init_spread, n_parameters(h.qubits, cfg.depth, cfg.ansatz))
     shot_rng = np.random.default_rng(cfg.seed + 0x5EED) if cfg.shots else None
 
     def objective(params):
-        state = build(params, h.qubits, cfg.depth)
+        state = ansatz_state(params, h.qubits, cfg.depth, cfg.ansatz)
         if cfg.shots:
             return _sampled_expectation(psum, state, cfg.shots, shot_rng)
         return h.expectation(state)
 
-    outcome = minimize(objective, x0, cfg)
-    return VqeResult(
-        energy=outcome.fun,
-        parameters=outcome.x,
-        trace=outcome.trace,
-        evaluations=outcome.evaluations,
-        converged=outcome.converged,
-    )
+    return minimize(objective, x0, cfg)
 
 
 def partitioned_run(family: ModeFamily, cfg: VqeConfig = VqeConfig(),

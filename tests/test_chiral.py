@@ -270,11 +270,17 @@ def test_chiral_system_validation():
         ChiralSystem(6, 0.5)
     with pytest.raises(ValueError):
         ChiralSystem(6, 1.0, scale=0.0)
+    with pytest.raises(ValueError):
+        bulk_density(10.0, scale=0.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             ChiralSystem(6, bad)
         with pytest.raises(ValueError, match="finite"):
             ChiralSystem(6, 1.0, scale=bad)
+        with pytest.raises(ValueError, match="finite"):
+            bulk_density(bad)
+        with pytest.raises(ValueError, match="finite"):
+            bulk_density(10.0, scale=bad)
 
 
 def test_chiral_vqe_small_instance():

@@ -14,6 +14,7 @@ from ringcasimir.lattice import (
     ring_hamiltonian,
     subtraction_constant,
 )
+from ringcasimir.operators import PAULI_I, PAULI_Y, kron_chain
 from ringcasimir.pauli import PauliSum, decompose_diagonal, expectation
 from ringcasimir.vqe import (
     Optimizer,
@@ -43,15 +44,56 @@ def test_ansatz_pi_rotation_flips_qubit():
     assert z == pytest.approx(-1.0)
 
 
+def dense_ansatz_oracle(params, qubits, depth, kind):
+    """The ansatz circuit from dense 2^n x 2^n gates, with its rotation count.
+
+    Parameters are read as ``depth + 1`` layers of one RY angle per qubit,
+    followed for "ry-rz" by one RZ angle per qubit; the CZ chain on
+    neighbouring qubits precedes every layer after the first.
+    """
+    per_layer = qubits if kind == "ry" else 2 * qubits
+    layers = np.reshape(params, (depth + 1, per_layer))
+
+    def on(q, gate):
+        return kron_chain([gate if k == q else PAULI_I for k in range(qubits)])
+
+    one = np.diag([0.0, 1.0]).astype(complex)
+    cz_chain = np.eye(2**qubits, dtype=complex)
+    for q in range(qubits - 1):
+        both = kron_chain([one if k in (q, q + 1) else PAULI_I for k in range(qubits)])
+        cz_chain = cz_chain @ (np.eye(2**qubits) - 2.0 * both)
+    state = np.zeros(2**qubits, dtype=complex)
+    state[0] = 1.0
+    rotations = 0
+    for d in range(depth + 1):
+        if d > 0:
+            state = cz_chain @ state
+        for q in range(qubits):
+            theta = layers[d, q]
+            ry = np.cos(theta / 2) * PAULI_I - 1j * np.sin(theta / 2) * PAULI_Y
+            state = on(q, ry) @ state
+            rotations += 1
+        if kind == "ry-rz":
+            for q in range(qubits):
+                phi = layers[d, qubits + q]
+                state = on(q, np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])) @ state
+                rotations += 1
+    return state, rotations
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2**32 - 1), st.booleans())
 def test_ansatz_norm_is_one(qubits, depth, seed, phased):
     rng = np.random.default_rng(seed)
-    build = ansatz_state_phased if phased else ansatz_state
     kind = "ry-rz" if phased else "ry"
     params = rng.uniform(-np.pi, np.pi, n_parameters(qubits, depth, kind))
-    state = build(params, qubits, depth)
+    state = ansatz_state(params, qubits, depth, kind)
     assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+    oracle, rotations = dense_ansatz_oracle(params, qubits, depth, kind)
+    assert np.max(np.abs(state - oracle)) < 1e-12
+    assert n_parameters(qubits, depth, kind) == rotations
+    if phased:
+        assert np.array_equal(ansatz_state_phased(params, qubits, depth), state)
 
 
 def test_ansatz_parameter_count_mismatch():
@@ -59,6 +101,10 @@ def test_ansatz_parameter_count_mismatch():
         ansatz_state(np.zeros(3), 2, 0)
     with pytest.raises(ValueError):
         ansatz_state_phased(np.zeros(2), 2, 0)
+    with pytest.raises(ValueError):
+        ansatz_state(np.zeros(2), 2, 0, ansatz="uccsd")
+    with pytest.raises(ValueError):
+        ansatz_state(np.zeros(2), 2, -1)
 
 
 def test_ansatz_real_amplitudes():
@@ -71,7 +117,7 @@ def test_minimize_quadratic_bowl_both_optimizers():
     for optimizer in Optimizer:
         cfg = VqeConfig(optimizer=optimizer, max_iterations=500, tolerance=1e-10)
         out = minimize(lambda x: (x[0] - 2.0) ** 2, np.array([0.0]), cfg)
-        assert out.x[0] == pytest.approx(2.0, abs=1e-6)
+        assert out.parameters[0] == pytest.approx(2.0, abs=1e-6)
         assert out.converged
 
 
@@ -81,7 +127,7 @@ def test_minimize_rosenbrock_quadratic_model():
 
     cfg = VqeConfig(optimizer=Optimizer.QUADRATIC, max_iterations=500, tolerance=1e-12)
     out = minimize(rosenbrock, np.array([-1.2, 1.0]), cfg)
-    assert np.allclose(out.x, [1.0, 1.0], atol=1e-3)
+    assert np.allclose(out.parameters, [1.0, 1.0], atol=1e-3)
 
 
 def test_minimize_trace_monotone_and_consistent():
@@ -89,7 +135,7 @@ def test_minimize_trace_monotone_and_consistent():
     out = minimize(lambda x: float(np.sum(x**2)), np.array([1.0, -2.0]), cfg)
     energies = [e for _, e in out.trace]
     assert all(b <= a for a, b in zip(energies, energies[1:]))
-    assert out.trace[-1][1] == out.fun
+    assert out.trace[-1][1] == out.energy
     assert out.evaluations >= len(out.trace)
 
 
@@ -97,7 +143,7 @@ def test_minimize_budget_exhaustion_flags_not_converged():
     cfg = VqeConfig(max_iterations=3, tolerance=1e-14)
     out = minimize(lambda x: float(np.sum(x**2)), np.array([5.0, 5.0]), cfg)
     assert not out.converged
-    assert np.isfinite(out.fun)
+    assert np.isfinite(out.energy)
     assert out.evaluations <= 3
 
 
