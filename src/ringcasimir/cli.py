@@ -298,6 +298,8 @@ def cmd_pauli_count(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
+    if args.dense < 0:
+        raise ValueError(f"--dense must be >= 0, got {args.dense}")
     system = ChiralSystem(args.sites, args.eta, args.scale if args.scale is not None else 1.0)
     rows = ["momentum,lambda_minus,lambda_plus"]
     for point in dispersion_table(system):

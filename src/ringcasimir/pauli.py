@@ -1,16 +1,14 @@
 """Exact Pauli-string decomposition of Hermitian qubit operators.
 
-Coefficients are the normalized traces c_P = Tr(P h) / 2^n, computed for all
-4^n strings at once by contracting one qubit axis pair at a time (identical
-to direct per-string traces, just not quadratic in the dimension).  Diagonal
-operators take a 2^n-string {I, Z} fast path so the 16-qubit ring
-Hamiltonians stay cheap.
-
-Every string action uses the x/z bit-mask (symplectic) form of Aaronson and
-Gottesman, quant-ph/0406196: a string is held as masks ``x`` (bits whose
-letter is X or Y) and ``z`` (Y or Z) plus its count n_Y of Y letters, and as
-Y = iXZ it maps |i> to i^n_Y (-1)^popcount(i & z) |i ^ x>.  Reconstruction,
-expectation values and the diagonal strings (x = 0) all use that one rule.
+Every string is held in the x/z bit-mask (symplectic) form of Aaronson and
+Gottesman, quant-ph/0406196: masks ``x`` (bits whose letter is X or Y) and
+``z`` (Y or Z).  As Y = iXZ, the string maps |i> to
+i^n_Y (-1)^popcount(i & z) |i ^ x> with n_Y = popcount(x & z).
+Reconstruction, expectation values and the diagonal strings (x = 0) all use
+that one rule, and decomposition inverts it: c_P = Tr(P h) / 2^n is i^n_Y / 2^n
+times the Walsh-Hadamard transform over z of the row h[i, i ^ x] (Hantzko,
+Binkowski & Gupta, arXiv:2310.13421; Jones, arXiv:2401.16378).  Only rows
+with a nonzero entry are transformed, so a diagonal is the single row x = 0.
 
 Text format (bit-exact round trip)::
 
@@ -29,16 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    DENSE_QUBIT_CAP,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    CapacityError,
-    bit_parity,
-    require_hermitian,
-)
+from .operators import DENSE_QUBIT_CAP, CapacityError, bit_parity, require_hermitian
 
 __all__ = [
     "ALPHABET",
@@ -60,8 +49,9 @@ __all__ = [
 ALPHABET = "IXYZ"
 _X_BITS = str.maketrans(ALPHABET, "0110")
 _Z_BITS = str.maketrans(ALPHABET, "0011")
+# The inverse of the two tables above: the letter of (x bit) + 2 (z bit).
+_MASK_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
 _PHASES = (1.0, 1j, -1.0, -1j)
-_STACK = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 DROP_TOL = 1e-12
 
@@ -113,25 +103,47 @@ class PauliSum:
         return len(self.terms)
 
 
-def _coefficient_tensor(h: np.ndarray, qubits: int) -> np.ndarray:
-    """All 4^n normalized trace coefficients, axis k indexing qubit k+1."""
-    t = h.reshape((2,) * (2 * qubits))
-    order = [ax for q in range(qubits) for ax in (q, qubits + q)]
-    t = np.transpose(t, order)
-    for _ in range(qubits):
-        # Tr(P M): the Pauli row index pairs with M's column axis and vice
-        # versa; the new length-4 letter axis is moved behind the remaining
-        # qubit axes.
-        t = np.tensordot(_STACK, t, axes=([1, 2], [1, 0]))
-        t = np.moveaxis(t, 0, -1)
-    return t / 2**qubits
+def _letters(x: np.ndarray, z: np.ndarray, qubits: int) -> list:
+    """The strings of the mask arrays ``x`` and ``z``, leftmost letter on
+    the most significant bit."""
+    shifts = np.arange(qubits - 1, -1, -1)
+    codes = (x[:, None] >> shifts & 1) + 2 * (z[:, None] >> shifts & 1)
+    return _MASK_LETTERS[codes].view(f"S{qubits}").ravel().astype(str).tolist()
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the first axis of a
+    C-contiguous array, in place: out[z] = sum_i (-1)^popcount(i & z) a[i].
+
+    The butterfly splits the most significant bit first.  That fixes the
+    summation order, so the exported coefficients are reproducible to the
+    last digit.
+    """
+    dim = a.shape[0]
+    half = dim // 2
+    while half >= 1:
+        pairs = a.reshape(dim // (2 * half), 2, half, *a.shape[1:])
+        lower = pairs[:, 0] - pairs[:, 1]
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = lower
+        half //= 2
+    return a
+
+
+def _pauli_sum(coeffs: np.ndarray, x: np.ndarray, qubits: int, drop_tol: float) -> PauliSum:
+    """The strings (x[k], z) with |coeffs[z, k]| > drop_tol."""
+    z, k = np.nonzero(np.abs(coeffs) > drop_tol)
+    letters = _letters(x[k], z, qubits)
+    return PauliSum(qubits, tuple(zip(coeffs[z, k].tolist(), letters)))
 
 
 def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     """Decompose a Hermitian matrix into a PauliSum, dropping |c| <= drop_tol.
 
-    The dimension must be a power of two with at most ``DENSE_QUBIT_CAP``
-    qubits; exactly diagonal input is routed through the {I, Z}-only path.
+    The dimension must be a power of two.  Each flip mask x whose row
+    h[i, i ^ x] holds a nonzero entry is Walsh-Hadamard transformed over z;
+    any x != 0 row above ``DENSE_QUBIT_CAP`` qubits raises
+    :class:`CapacityError`, so diagonal input of any size is decomposed.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -141,50 +153,33 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     if dim != 2**qubits or qubits < 1:
         raise ValueError(f"dimension {dim} is not a power of two >= 2")
     require_hermitian(h)
-    diag = np.diagonal(h)
-    if not np.any(h - np.diag(diag)):
-        return decompose_diagonal(diag.real, drop_tol)
-    if qubits > DENSE_QUBIT_CAP:
-        raise CapacityError(
-            f"{qubits} qubits exceed the {DENSE_QUBIT_CAP}-qubit decomposition cap"
-        )
-    coeffs = _coefficient_tensor(h, qubits)
-    if np.max(np.abs(coeffs.imag)) > 1e-10:
+    flips = np.flatnonzero(np.bincount(np.bitwise_xor(*np.nonzero(h)), minlength=dim))
+    if qubits > DENSE_QUBIT_CAP and flips.any():
+        raise CapacityError(f"{qubits} qubits exceed the {DENSE_QUBIT_CAP}-qubit decomposition cap")
+    idx = np.arange(dim)[:, None]
+    coeffs = _walsh_hadamard(h[idx, idx ^ flips])  # column k holds x = flips[k]
+    popcount = np.array([z.bit_count() for z in range(dim)])
+    phases = np.array(_PHASES)
+    for z, row in enumerate(coeffs):
+        row *= phases[popcount[z & flips] % 4]  # i^n_Y
+    coeffs /= dim
+    if np.any(np.abs(coeffs.imag) > 1e-10):
         raise ValueError("Hermitian input produced non-real Pauli coefficients")
-    real = coeffs.real
-    terms = []
-    for flat in np.flatnonzero(np.abs(real) > drop_tol):
-        idx = np.unravel_index(flat, real.shape)
-        letters = "".join(ALPHABET[k] for k in idx)
-        terms.append((float(real[idx]), letters))
-    return PauliSum(qubits, tuple(terms))
+    return _pauli_sum(coeffs.real, flips, qubits, drop_tol)
 
 
 def decompose_diagonal(diagonal: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
-    """{I, Z}-only decomposition of a diagonal operator (2^n coefficients).
-
-    Uses the Walsh-Hadamard transform of the diagonal; handles up to the
-    16-qubit ring registers.
-    """
+    """{I, Z}-only decomposition of a diagonal operator (2^n coefficients):
+    the x = 0 row of :func:`decompose`, with no size cap."""
     d = np.asarray(diagonal, dtype=float)
     dim = d.shape[0]
     qubits = dim.bit_length() - 1
     if d.ndim != 1 or dim != 2**qubits or qubits < 1:
         raise ValueError(f"expected a 2^n diagonal with n >= 1, got shape {d.shape}")
-    c = d.copy()
-    h = dim // 2
-    while h >= 1:
-        c = c.reshape(-1, 2, h)
-        upper = c[:, 0, :] + c[:, 1, :]
-        lower = c[:, 0, :] - c[:, 1, :]
-        c = np.stack([upper, lower], axis=1).reshape(-1)
-        h //= 2
-    c /= dim
-    terms = []
-    for flat in np.flatnonzero(np.abs(c) > drop_tol):
-        letters = format(flat, f"0{qubits}b").replace("0", "I").replace("1", "Z")
-        terms.append((float(c[flat]), letters))
-    return PauliSum(qubits, tuple(terms))
+    if not np.all(np.isfinite(d)):
+        raise ValueError("diagonal has non-finite entries")
+    coeffs = _walsh_hadamard(d.copy()) / dim
+    return _pauli_sum(coeffs[:, None], np.zeros(1, dtype=int), qubits, drop_tol)
 
 
 def _string_actions(p: PauliSum):

@@ -222,6 +222,42 @@ def test_pauli_count_csv(capsys, tmp_path):
     assert all(b >= a for a, b in zip(terms, terms[1:]))
 
 
+# Data files pinned to the byte: the Walsh-Hadamard summation order sets
+# the last digits of the exported coefficients.
+GOLDEN_FILES = {
+    ("export", "--family", "boson-twisted", "--sites", "3", "--with-correction"): (
+        b"# ringcasimir pauli v1\n"
+        b"qubits 6\n"
+        b"8.99390340086637 IIIIII\n"
+        b"-2.285714285714286 IIIIZI\n"
+        b"-2.059357412348387 IIZIII\n"
+        b"-1.4251195471056768 ZIIIII\n"
+        b"-1.1428571428571437 IIIIIZ\n"
+        b"-1.0296787061741934 IIIZII\n"
+        b"-0.7125597735528382 IZIIII\n"
+    ),
+    ("pauli-count", "--family", "boson-periodic", "--sites", "1..8"): (
+        b"sites,qubits,terms\n"
+        b"1,2,3\n"
+        b"2,4,5\n"
+        b"3,6,7\n"
+        b"4,8,9\n"
+        b"5,10,11\n"
+        b"6,12,13\n"
+        b"7,14,15\n"
+        b"8,16,17\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_FILES))
+def test_data_files_are_byte_identical(capsys, tmp_path, argv):
+    path = tmp_path / "data.txt"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == GOLDEN_FILES[argv]
+
+
 def test_pauli_count_capacity_rows_na(capsys):
     code, out, _ = run_cli(capsys, "pauli-count", "--family", "boson-periodic", "--sites", "8..9")
     assert code == 0
@@ -270,6 +306,9 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["vqe", "--family", "boson-periodic", "--chiral"])
     assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "dispersion", "--sites", "3", "--dense", "-4")
+    assert code == 2
+    assert out == "" and err.splitlines()[-1].startswith("error: --dense")
 
 
 def test_outdir_env_var(capsys, tmp_path, monkeypatch):

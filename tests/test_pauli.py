@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringcasimir.chiral import jordan_wigner_hamiltonian
 from ringcasimir.lattice import ModeFamily, mode_hamiltonian, ring_hamiltonian
 from ringcasimir.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_chain
 from ringcasimir.pauli import (
@@ -73,17 +74,39 @@ def test_decompose_errors():
         decompose(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for bad in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [1.0, 2.0, -np.inf, 0.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose_diagonal(np.array(bad))
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_decompose_matches_direct_trace_oracle(qubits, seed):
-    h = random_hermitian(np.random.default_rng(seed), qubits)
+def structured_hermitian(rng, kind, qubits):
+    """A random Hermitian matrix whose nonzero entries lie on the x rows
+    h[i, i ^ x] that ``kind`` names: all of them, only x = 0, one x != 0,
+    or the rows of a Jordan-Wigner hopping Hamiltonian."""
+    d = 2**qubits
+    if kind == "dense":
+        return random_hermitian(rng, qubits)
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=d)).astype(complex)
+    if kind == "x-row":
+        idx = np.arange(d)
+        h = np.zeros((d, d), dtype=complex)
+        h[idx, idx ^ int(rng.integers(1, d))] = rng.normal(size=d) + 1j * rng.normal(size=d)
+        return (h + h.conj().T) / 2
+    a = rng.normal(size=(qubits, qubits)) + 1j * rng.normal(size=(qubits, qubits))
+    return jordan_wigner_hamiltonian((a + a.conj().T) / 2).matrix
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["dense", "diagonal", "x-row", "jordan-wigner"]),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_decompose_matches_direct_trace_oracle(kind, qubits, seed):
+    h = structured_hermitian(np.random.default_rng(seed), kind, qubits)
     fast = decompose(h)
     slow = oracle_decompose(h, qubits)
     assert fast.qubits == slow.qubits
-    assert len(fast) == len(slow)
     slow_map = dict((l, c) for c, l in slow.terms)
+    assert {l for _, l in fast.terms} == set(slow_map)
     for c, letters in fast.terms:
         assert abs(c - slow_map[letters]) < 1e-10
 
