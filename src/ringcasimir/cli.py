@@ -9,8 +9,8 @@ files, with result JSON and convergence CSV), ``export`` / ``import-pauli``
 Exit codes: 0 ok, 2 usage error, 3 VQE did not converge, 4 capacity
 exceeded, 5 Pauli parse error.  Relative output paths resolve against
 $RINGCASIMIR_OUTDIR when it is set.  Every file written gets a sidecar
-``<name>.manifest.json`` recording the resolved configuration; re-running
-the same command reproduces the data files byte for byte (exact mode).
+``<name>.manifest.json`` of the resolved configuration and library versions;
+re-running a command reproduces its data files byte for byte (exact mode).
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .chiral import (
@@ -100,6 +102,8 @@ def _write_manifest(path: Path, command: str, config: dict) -> None:
         "command": command,
         "config": clean,
         "artifact_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     manifest_path = path.with_name(path.name + ".manifest.json")
@@ -122,16 +126,8 @@ def _parse_sweep(text: str):
 
 
 def _vqe_config(args) -> VqeConfig:
-    return VqeConfig(
-        depth=args.depth,
-        optimizer=Optimizer(args.optimizer),
-        max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
-        seed=args.seed,
-        shots=args.shots,
-        ansatz=args.ansatz,
-        init_spread=args.init_spread,
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(VqeConfig)}
+    return VqeConfig(**values | {"optimizer": Optimizer(args.optimizer)})
 
 
 def _pauli_file_spec(path: str) -> HamiltonianSpec:
@@ -302,13 +298,10 @@ def cmd_dispersion(args) -> int:
         raise ValueError(f"--dense must be >= 0, got {args.dense}")
     system = ChiralSystem(args.sites, args.eta, args.scale if args.scale is not None else 1.0)
     rows = ["momentum,lambda_minus,lambda_plus"]
-    for point in dispersion_table(system):
+    dense = [dispersion(2.0 * np.pi * k / args.dense, system.eta, system.scale)
+             for k in range(args.dense)]
+    for point in [*dispersion_table(system), *dense]:
         rows.append(f"{point.momentum!r},{point.lambda_minus!r},{point.lambda_plus!r}")
-    if args.dense:
-        for k in range(args.dense):
-            p = 2.0 * np.pi * k / args.dense
-            point = dispersion(p, system.eta, system.scale)
-            rows.append(f"{point.momentum!r},{point.lambda_minus!r},{point.lambda_plus!r}")
     text = "\n".join(rows) + "\n"
     if args.out:
         _write(args.out, text, "dispersion", vars(args))

@@ -3,8 +3,8 @@
 A :class:`HamiltonianSpec` carries a qubit count plus exactly one concrete
 representation: a dense Hermitian matrix, a real diagonal (every ring
 Hamiltonian in this package is diagonal in the computational basis), or a
-Pauli-sum.  ``expectation``, ``ground_energy``, ``as_matrix`` and
-``as_pauli`` all dispatch on the stored representation, so an exact
+Pauli-sum.  ``expectation``, ``apply``, ``ground_energy``, ``as_matrix``
+and ``as_pauli`` all dispatch on the stored representation, so an exact
 expectation costs ``diag . |psi|^2`` for a diagonal, one dense contraction
 for a matrix, and a string loop only for a Pauli-sum.  Dense matrices are
 only materialized up to ``DENSE_QUBIT_CAP`` qubits; diagonal storage
@@ -68,18 +68,34 @@ class HamiltonianSpec:
     def dim(self) -> int:
         return 2**self.qubits
 
+    def _vector(self, state: np.ndarray) -> np.ndarray:
+        state = np.asarray(state, dtype=complex).reshape(-1)
+        if state.shape[0] != self.dim:
+            raise ValueError(f"state dimension {state.shape[0]} != 2^{self.qubits}")
+        return state
+
     def expectation(self, state: np.ndarray) -> float:
         """<state| H |state> for a normalized state of dimension ``2**qubits``."""
         if self.pauli is not None:
             return _pauli.expectation(self.pauli, state)
-        state = np.asarray(state, dtype=complex).reshape(-1)
-        if state.shape[0] != self.dim:
-            raise ValueError(f"state dimension {state.shape[0]} != 2^{self.qubits}")
+        state = self._vector(state)
         if self.diagonal is not None:
             return float(self.diagonal @ (state.real**2 + state.imag**2))
         # einsum rather than a BLAS matvec: the matvec stalls on thread
         # hand-off when called thousands of times inside an optimizer loop.
         return float(np.einsum("i,ij,j->", state.conj(), self.matrix, state).real)
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        """H|state> as a new vector, from the stored representation."""
+        state = self._vector(state)
+        if self.diagonal is not None:
+            return self.diagonal * state
+        if self.matrix is not None:
+            return np.einsum("ij,j->i", self.matrix, state)  # no BLAS matvec, as above
+        out = np.zeros_like(state)
+        for coefficient, flip, f in _pauli._string_actions(self.pauli):
+            out[flip] += coefficient * f * state
+        return out
 
     def as_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix; materialized on demand below the cap."""
@@ -99,7 +115,7 @@ class HamiltonianSpec:
             return self.pauli
         if self.diagonal is not None:
             return _pauli.decompose_diagonal(self.diagonal)
-        return _pauli.decompose(self.matrix)
+        return _pauli._decompose(self.matrix)  # checked Hermitian on construction
 
     def ground_energy(self) -> float:
         """Lowest eigenvalue, via the cheapest path for the stored form."""

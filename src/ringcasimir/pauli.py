@@ -153,6 +153,13 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     if dim != 2**qubits or qubits < 1:
         raise ValueError(f"dimension {dim} is not a power of two >= 2")
     require_hermitian(h)
+    return _decompose(h, drop_tol)
+
+
+def _decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
+    """:func:`decompose` without input checks, for a known-Hermitian matrix."""
+    dim = h.shape[0]
+    qubits = dim.bit_length() - 1
     flips = np.flatnonzero(np.bincount(np.bitwise_xor(*np.nonzero(h)), minlength=dim))
     if qubits > DENSE_QUBIT_CAP and flips.any():
         raise CapacityError(f"{qubits} qubits exceed the {DENSE_QUBIT_CAP}-qubit decomposition cap")

@@ -10,14 +10,15 @@ single-particle matrix).  Either family is one gate list that
 
 Classical optimization is delegated to scipy.optimize: "linear" maps to
 COBYLA (derivative-free linear trust-region) and "quadratic" to SLSQP
-(quadratic model with finite-difference gradients and line search).  Every
-objective evaluation is recorded; the reported energy and parameters are the
-best evaluation seen, and the trace is the non-increasing best-so-far
-record.
+(quadratic model and line search; exact gradients from one adjoint walk
+of the gate list, finite differences with shots).  Every objective
+evaluation is recorded; the reported energy and parameters are the best
+evaluation seen, and the trace is the non-increasing best-so-far record.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -108,7 +109,8 @@ class VqeResult:
     """Optimized energy with best-so-far convergence trace.
 
     ``trace`` holds (evaluation index, best energy so far) pairs, one per
-    accepted (improving) evaluation; its last entry equals ``energy``.
+    accepted (improving) evaluation; its last entry equals ``energy``.  An
+    exact SLSQP evaluation is one energy-and-gradient pass.
     """
 
     energy: float
@@ -180,54 +182,92 @@ def ansatz_state(parameters: np.ndarray, qubits: int, depth: int,
     for gate, q in gates:
         if gate == "cz":
             state *= _cz_chain_signs(qubits)
-            continue
-        angle = next(angles)
-        view = state.reshape(2**q, 2, -1)
-        if gate == "ry":
-            c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-            a = view[:, 0, :].copy()
-            b = view[:, 1, :].copy()
-            view[:, 0, :] = c * a - s * b
-            view[:, 1, :] = s * a + c * b
         else:
-            view[:, 0, :] *= np.exp(-0.5j * angle)
-            view[:, 1, :] *= np.exp(0.5j * angle)
+            _rotate(state, gate, q, next(angles))
     return state
+
+
+def _rotate(state: np.ndarray, gate: str, q: int, angle: float) -> None:
+    """Apply exp(-i angle P / 2) to qubit ``q`` of ``state`` in place, with
+    P = Y for "ry" and Z for "rz"; ``-angle`` undoes it."""
+    angle = float(angle)
+    view = state.reshape(2**q, 2, -1)
+    if gate == "ry":
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        a = view[:, 0, :].copy()
+        b = view[:, 1, :].copy()
+        view[:, 0, :] = c * a - s * b
+        view[:, 1, :] = s * a + c * b
+    else:
+        view[:, 0, :] *= cmath.exp(-0.5j * angle)
+        view[:, 1, :] *= cmath.exp(0.5j * angle)
 
 
 ansatz_state_phased = partial(ansatz_state, ansatz="ry-rz")
 
 
-def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig) -> VqeResult:
+def _energy_and_gradient(h: HamiltonianSpec, parameters, qubits: int, depth: int, ansatz: str):
+    """<psi|H|psi> and its gradient by the adjoint method (Jones & Gacon,
+    arXiv:2009.02823): from lam = H|psi> and phi = |psi>, walk the gates in
+    reverse; rotation k gives Im <lam|P|phi>, then is undone on both."""
+    gates, count = _gates(qubits, depth, ansatz)
+    phi = ansatz_state(parameters, qubits, depth, ansatz)
+    energy = h.expectation(phi)
+    lam = h.apply(phi)
+    gradient = np.empty(count)
+    k = count
+    for gate, q in reversed(gates):
+        if gate == "cz":
+            phi *= _cz_chain_signs(qubits)
+            lam *= _cz_chain_signs(qubits)
+            continue
+        k -= 1
+        lv, pv = lam.reshape(2**q, 2, -1), phi.reshape(2**q, 2, -1)
+        if gate == "ry":  # Y = [[0, -i], [i, 0]]
+            overlap = 1j * (np.vdot(lv[:, 1], pv[:, 0]) - np.vdot(lv[:, 0], pv[:, 1]))
+        else:  # Z = diag(1, -1)
+            overlap = np.vdot(lv[:, 0], pv[:, 0]) - np.vdot(lv[:, 1], pv[:, 1])
+        gradient[k] = overlap.imag
+        _rotate(phi, gate, q, -parameters[k])
+        _rotate(lam, gate, q, -parameters[k])
+    return energy, gradient
+
+
+def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig, jac: bool = False) -> VqeResult:
     """Minimize ``objective`` from ``x0`` under the configured optimizer.
 
     Returns the best *evaluated* point together with the full improving-
     evaluation trace; ``converged`` is False when the iteration budget ran
     out before the optimizer's own stopping rule fired.  COBYLA's budget
-    counts evaluations and is cut off at ``max_iterations`` exactly.
+    counts evaluations and is cut off at ``max_iterations`` exactly.  With
+    ``jac=True`` the objective returns ``(energy, gradient)`` for SLSQP
+    (COBYLA raises ``ValueError``); best point and trace follow the energy.
     """
     x0 = np.asarray(x0, dtype=float)
     best = {"fun": math.inf, "x": x0.copy()}
     trace: list = []
     evaluations = [0]
     linear = cfg.optimizer is Optimizer.LINEAR
+    if jac and linear:
+        raise ValueError("jac=True needs the quadratic optimizer; COBYLA takes no gradient")
 
     def wrapped(x):
         if linear and evaluations[0] >= cfg.max_iterations:
             raise _BudgetSpent
-        value = float(objective(np.asarray(x, dtype=float)))
+        out = objective(np.asarray(x, dtype=float))
+        value = float(out[0] if jac else out)
         evaluations[0] += 1
         if value < best["fun"]:
             best["fun"] = value
             best["x"] = np.array(x, dtype=float, copy=True)
             trace.append((evaluations[0], value))
-        return value
+        return (value, out[1]) if jac else value
 
     # COBYLA refuses a budget below the n + 2 points of its first simplex.
     maxiter = max(cfg.max_iterations, x0.size + 2) if linear else cfg.max_iterations
     try:
         # scipy maps tol onto COBYLA's "tol" and SLSQP's "ftol".
-        result = _scipy_minimize(wrapped, x0, method=_SCIPY_METHOD[cfg.optimizer],
+        result = _scipy_minimize(wrapped, x0, method=_SCIPY_METHOD[cfg.optimizer], jac=jac,
                                  tol=cfg.tolerance, options={"maxiter": maxiter})
         converged = bool(result.success)
     except _BudgetSpent:
@@ -260,9 +300,9 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
 
     Exact-expectation mode evaluates ``h.expectation`` on the stored
     representation and respects the variational bound: the reported energy
-    cannot undercut the true ground energy.  Shot mode samples the terms of
-    ``h.as_pauli()``.  Exhausting ``max_iterations`` yields
-    ``converged=False`` rather than an error.
+    cannot undercut the true ground energy; SLSQP also gets its adjoint
+    gradient.  Shot mode samples the terms of ``h.as_pauli()``.  Exhausting
+    ``max_iterations`` yields ``converged=False`` rather than an error.
     """
     if h.qubits > STATEVECTOR_QUBIT_CAP:
         raise CapacityError(
@@ -274,13 +314,17 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
     x0 = rng.uniform(-cfg.init_spread, cfg.init_spread, n_parameters(h.qubits, cfg.depth, cfg.ansatz))
     shot_rng = np.random.default_rng(cfg.seed + 0x5EED) if cfg.shots else None
 
+    adjoint = not cfg.shots and cfg.optimizer is Optimizer.QUADRATIC
+
     def objective(params):
+        if adjoint:
+            return _energy_and_gradient(h, params, h.qubits, cfg.depth, cfg.ansatz)
         state = ansatz_state(params, h.qubits, cfg.depth, cfg.ansatz)
         if cfg.shots:
             return _sampled_expectation(psum, state, cfg.shots, shot_rng)
         return h.expectation(state)
 
-    return minimize(objective, x0, cfg)
+    return minimize(objective, x0, cfg, jac=adjoint)
 
 
 def partitioned_run(family: ModeFamily, cfg: VqeConfig = VqeConfig(),

@@ -1,7 +1,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
+import scipy
 
 from ringcasimir.cli import main
 
@@ -49,6 +51,8 @@ def test_exact_sweep_reproduces_column(capsys, tmp_path):
     manifest = json.loads((tmp_path / "bp.json.manifest.json").read_text())
     assert manifest["command"] == "exact"
     assert "timestamp" in manifest
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["scipy_version"] == scipy.__version__
 
 
 def test_exact_chiral_reference(capsys, tmp_path):
@@ -111,6 +115,10 @@ def test_vqe_chiral_quadratic(capsys, tmp_path):
     record = json.loads(out_json.read_text())
     assert abs(record["percent_difference"]) < 0.1
     assert record["vqe_energy"] >= record["exact_energy"] - 1e-9
+    manifest = json.loads((tmp_path / "chiral_vqe.json.manifest.json").read_text())
+    assert manifest["command"] == "vqe"
+    assert manifest["config"]["optimizer"] == "quadratic"
+    assert (manifest["numpy_version"], manifest["scipy_version"]) == (np.__version__, scipy.__version__)
 
 
 def test_vqe_shots_mode(capsys, tmp_path):

@@ -52,6 +52,35 @@ def test_every_representation_matches_the_dense_oracle(qubits, diagonal, seed):
         assert np.max(np.abs(reconstruct(spec.as_pauli()) - dense)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_apply_matches_the_dense_product(qubits, diagonal, seed):
+    rng = np.random.default_rng(seed)
+    h = random_operator(rng, qubits, diagonal)
+    psi = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
+    psi /= np.linalg.norm(psi)
+    for spec in every_representation(h, diagonal):
+        before = psi.copy()
+        assert np.max(np.abs(spec.apply(psi) - spec.as_matrix() @ psi)) < 1e-12
+        assert np.array_equal(psi, before)
+
+
+@pytest.mark.parametrize("h", [
+    jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(2, 10.0))).matrix,
+    random_operator(np.random.default_rng(3), 3, False),
+])
+def test_as_pauli_skips_the_second_hermitian_check(monkeypatch, h):
+    spec = HamiltonianSpec(qubits=h.shape[0].bit_length() - 1, matrix=h)
+    expected = decompose(h)
+    calls = []
+    original = pauli.require_hermitian
+    monkeypatch.setattr(pauli, "require_hermitian", lambda m: calls.append(m) or original(m))
+    assert spec.as_pauli() == expected
+    assert calls == []
+    decompose(h)
+    assert len(calls) == 1
+
+
 def test_spec_holds_exactly_one_representation():
     d = np.array([1.0, -1.0])
     forms = {"matrix": np.diag(d), "diagonal": d, "pauli": decompose_diagonal(d)}
@@ -96,6 +125,8 @@ def test_expectation_rejects_wrong_dimension():
     spec = HamiltonianSpec(qubits=2, diagonal=[0.0, 1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="dimension"):
         spec.expectation(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="dimension"):
+        spec.apply(np.array([1.0, 0.0]))
 
 
 def _forbid(monkeypatch, *names):

@@ -5,6 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringcasimir.chiral import (
+    ChiralSystem,
+    dirac_sea_energy,
+    jordan_wigner_hamiltonian,
+    single_particle_matrix,
+)
 from ringcasimir.hamiltonian import CapacityError, HamiltonianSpec
 from ringcasimir.lattice import (
     ModeFamily,
@@ -15,8 +21,9 @@ from ringcasimir.lattice import (
     subtraction_constant,
 )
 from ringcasimir.operators import PAULI_I, PAULI_Y, kron_chain
-from ringcasimir.pauli import PauliSum, decompose_diagonal, expectation
+from ringcasimir.pauli import PauliSum, decompose, decompose_diagonal, expectation
 from ringcasimir.vqe import (
+    ANSATZE,
     Optimizer,
     VqeConfig,
     ansatz_state,
@@ -145,6 +152,73 @@ def test_minimize_budget_exhaustion_flags_not_converged():
     assert not out.converged
     assert np.isfinite(out.energy)
     assert out.evaluations <= 3
+
+
+def test_minimize_with_gradient():
+    cfg = VqeConfig(optimizer=Optimizer.QUADRATIC, max_iterations=500, tolerance=1e-12)
+    out = minimize(lambda x: ((x[0] - 2.0) ** 2, np.array([2.0 * (x[0] - 2.0)])),
+                   np.array([0.0]), cfg, jac=True)
+    assert out.parameters[0] == pytest.approx(2.0, abs=1e-9)
+    assert out.converged
+    assert out.trace[-1][1] == out.energy
+    with pytest.raises(ValueError, match="COBYLA"):
+        minimize(lambda x: (float(x[0] ** 2), 2.0 * x), np.array([1.0]), VqeConfig(), jac=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2), st.sampled_from(ANSATZE),
+       st.sampled_from(["matrix", "diagonal", "pauli"]), st.integers(0, 2**32 - 1))
+def test_adjoint_gradient_matches_central_differences(qubits, depth, ansatz, form, seed):
+    from ringcasimir.vqe import _energy_and_gradient
+
+    rng = np.random.default_rng(seed)
+    dim = 2**qubits
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = np.diag(rng.normal(size=dim)) if form == "diagonal" else (a + a.conj().T) / 2.0
+    spec = {
+        "matrix": lambda: HamiltonianSpec(qubits=qubits, matrix=h),
+        "diagonal": lambda: HamiltonianSpec(qubits=qubits, diagonal=np.diagonal(h).real),
+        "pauli": lambda: HamiltonianSpec(qubits=qubits, pauli=decompose(h, 0.0)),
+    }[form]()
+    params = rng.uniform(-np.pi, np.pi, n_parameters(qubits, depth, ansatz))
+
+    def energy(x):
+        return spec.expectation(ansatz_state(x, qubits, depth, ansatz))
+
+    value, gradient = _energy_and_gradient(spec, params, qubits, depth, ansatz)
+    assert value == energy(params)
+    step = 1e-6
+    central = [(energy(params + step * e) - energy(params - step * e)) / (2 * step)
+               for e in np.eye(params.size)]
+    assert np.max(np.abs(gradient - central)) < 1e-6
+
+
+def test_exact_quadratic_run_takes_the_adjoint_gradient():
+    # The criterion-10 configuration; finite differences took 17,297 evaluations.
+    t = single_particle_matrix(ChiralSystem(3, 10.0))
+    cfg = VqeConfig(depth=3, optimizer=Optimizer.QUADRATIC, max_iterations=600,
+                    tolerance=1e-12, seed=3, ansatz="ry-rz", init_spread=math.pi)
+    result = run_vqe(jordan_wigner_hamiltonian(t), cfg)
+    exact = dirac_sea_energy(t)
+    assert result.evaluations < 1000
+    assert result.energy >= exact - 1e-9
+    assert abs(result.energy - exact) / abs(exact) <= 1e-3
+
+
+@pytest.mark.parametrize("build,cfg,energy,evaluations", [
+    (lambda: ring_hamiltonian(ModeFamily.from_label("fermion-periodic", 2)),
+     VqeConfig(optimizer=Optimizer.QUADRATIC, shots=1000, seed=4, max_iterations=30),
+     -9.833540016502122, 149),
+    (lambda: jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(2, 10.0))),
+     VqeConfig(optimizer=Optimizer.QUADRATIC, shots=200, seed=1, depth=1, ansatz="ry-rz",
+               max_iterations=5),
+     -1.1099999999999999, 152),
+])
+def test_shot_mode_quadratic_keeps_finite_differences(build, cfg, energy, evaluations):
+    # Literals from the finite-difference implementation: sampled objectives
+    # have no exact gradient, so shot mode must not change.
+    result = run_vqe(build(), cfg)
+    assert (result.energy, result.evaluations) == (energy, evaluations)
 
 
 def one_qubit_scan_minimum(omega, points=20001):
