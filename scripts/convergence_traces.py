@@ -30,8 +30,8 @@ def main():
     cfg = VqeConfig(seed=7)
     for label in ["boson-periodic", "boson-twisted", "fermion-periodic", "fermion-twisted"]:
         family = ModeFamily.from_label(label, 8)
-        report, results = partitioned_run(family, cfg, return_mode_results=True)
-        rows = combined_trace(results, offset=report.subtraction)
+        report = partitioned_run(family, cfg)
+        rows = combined_trace(report)
         write_csv(OUT / f"{label}-n8.csv", rows)
         print(f"  {label}: vqe={report.vqe_energy:.6f} exact={report.exact_energy:.6f}")
 

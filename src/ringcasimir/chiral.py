@@ -205,7 +205,8 @@ def jordan_wigner_hamiltonian(t: np.ndarray) -> HamiltonianSpec:
     as in :func:`ringcasimir.operators.fermion_lower`: the hop j != k takes
     each state i with b_k set and b_j clear to i ^ b_j ^ b_k with sign
     (-1)^popcount(i & bits of the modes strictly between j and k), and j == k
-    adds t_jj on every state with b_j set.  The lowest eigenvalue equals
+    adds Re t_jj (a Hermitian diagonal is real, up to the Hermiticity
+    tolerance) on every state with b_j set.  The lowest eigenvalue equals
     :func:`dirac_sea_energy` of ``t``; capped at ``DENSE_QUBIT_CAP`` qubits.
     """
     t = require_hermitian(np.asarray(t, dtype=complex))
@@ -221,16 +222,12 @@ def jordan_wigner_hamiltonian(t: np.ndarray) -> HamiltonianSpec:
         bj, bk = 1 << (n_modes - 1 - int(j)), 1 << (n_modes - 1 - int(k))
         if j == k:
             occupied = idx[(idx & bj) != 0]
-            h[occupied, occupied] += t[j, j]
+            h[occupied, occupied] += t[j, j].real
             continue
         cols = idx[((idx & bk) != 0) & ((idx & bj) == 0)]
         between = (max(bj, bk) - 1) & ~(2 * min(bj, bk) - 1)
         h[cols ^ bj ^ bk, cols] += t[j, k] * signs[cols & between]
-    return HamiltonianSpec(
-        qubits=n_modes,
-        matrix=h,
-        label=f"jordan-wigner {n_modes} modes",
-    )
+    return HamiltonianSpec(qubits=n_modes, matrix=h)
 
 
 def calibrate_scale_constant(

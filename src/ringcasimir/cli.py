@@ -6,9 +6,10 @@ files, with result JSON and convergence CSV), ``export`` / ``import-pauli``
 (Pauli text files), ``pauli-count`` (term-growth CSV) and ``dispersion``
 (branch CSV).
 
-Exit codes: 0 ok, 2 usage error, 3 VQE did not converge, 4 capacity
-exceeded, 5 Pauli parse error.  Relative output paths resolve against
-$RINGCASIMIR_OUTDIR when it is set.  Every file written gets a sidecar
+Exit codes: 0 ok, 2 usage error (or a path that cannot be read or
+written), 3 VQE did not converge, 4 capacity exceeded, 5 Pauli parse
+error.  Relative output paths resolve against $RINGCASIMIR_OUTDIR when it
+is set.  Every file written gets a sidecar
 ``<name>.manifest.json`` of the resolved configuration and library versions;
 re-running a command reproduces its data files byte for byte (exact mode).
 """
@@ -132,7 +133,7 @@ def _vqe_config(args) -> VqeConfig:
 
 def _pauli_file_spec(path: str) -> HamiltonianSpec:
     psum = parse(Path(path).read_text())
-    return HamiltonianSpec(qubits=psum.qubits, pauli=psum, label=f"file {path}")
+    return HamiltonianSpec(qubits=psum.qubits, pauli=psum)
 
 
 def _chiral_system(args) -> ChiralSystem:
@@ -222,13 +223,13 @@ def cmd_vqe(args) -> int:
     cfg = _vqe_config(args)
     if args.family:
         family = ModeFamily.from_label(args.family, args.sites)
-        report, mode_results = partitioned_run(family, cfg, return_mode_results=True)
-        converged = all(r.converged for r in mode_results)
-        trace_rows = combined_trace(mode_results, offset=report.subtraction)
+        report = partitioned_run(family, cfg)
+        converged = all(r.converged for r in report.mode_results)
+        trace_rows = combined_trace(report)
         record = _result_record(
             args, family.label, family.sites, report.exact_energy,
             report.vqe_energy, report.percent_difference,
-            len(trace_rows), sum(r.evaluations for r in mode_results), converged,
+            len(trace_rows), sum(r.evaluations for r in report.mode_results), converged,
         )
         record["per_mode_energies"] = [float(e) for e in report.per_mode_energies]
     else:
@@ -282,7 +283,7 @@ def cmd_pauli_count(args) -> int:
     for n in sweep:
         family = ModeFamily.from_label(args.family, n)
         try:
-            count = term_count(family, n)
+            count = term_count(args.family, n)
             lines.append(f"{n},{family.qubits},{count}")
         except CapacityError:
             lines.append(f"{n},NA,NA")
@@ -412,7 +413,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

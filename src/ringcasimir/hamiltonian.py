@@ -28,7 +28,7 @@ RING_QUBIT_CAP = 16
 
 @dataclass
 class HamiltonianSpec:
-    """A qubit Hamiltonian with provenance label.
+    """A qubit Hamiltonian in one stored representation.
 
     Exactly one of ``matrix`` (dense Hermitian), ``diagonal`` (real 1-D,
     finite) or ``pauli`` (a :class:`ringcasimir.pauli.PauliSum`) must be
@@ -39,7 +39,6 @@ class HamiltonianSpec:
     matrix: Optional[np.ndarray] = None
     diagonal: Optional[np.ndarray] = None
     pauli: Any = None
-    label: str = ""
 
     def __post_init__(self):
         if self.qubits < 1:
@@ -122,5 +121,9 @@ class HamiltonianSpec:
         if self.diagonal is not None:
             return float(self.diagonal.min())
         if self.pauli is not None and _pauli.is_diagonal(self.pauli):
+            if self.qubits > RING_QUBIT_CAP:
+                raise CapacityError(
+                    f"{self.qubits} qubits exceed the {RING_QUBIT_CAP}-qubit diagonal cap"
+                )
             return float(_pauli.diagonal_part(self.pauli).min())
         return float(np.linalg.eigvalsh(self.as_matrix())[0])

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,11 +235,7 @@ def mode_hamiltonian(family: ModeFamily, i: int) -> HamiltonianSpec:
     omega = mode_frequency(family, i)
     diag = _mode_diagonal(family.statistics, omega)
     qubits = 2 if family.statistics is Statistics.BOSON else 1
-    return HamiltonianSpec(
-        qubits=qubits,
-        diagonal=diag,
-        label=f"{family.label} N={family.sites} mode {i}",
-    )
+    return HamiltonianSpec(qubits=qubits, diagonal=diag)
 
 
 def ring_hamiltonian(family: ModeFamily) -> HamiltonianSpec:
@@ -260,11 +256,7 @@ def ring_hamiltonian(family: ModeFamily) -> HamiltonianSpec:
     for member, i in _modes(family):
         omega = mode_frequency(member, i)
         diag = np.add.outer(diag, _mode_diagonal(member.statistics, omega)).ravel()
-    return HamiltonianSpec(
-        qubits=qubits,
-        diagonal=diag,
-        label=f"{family.label} N={family.sites} ring",
-    )
+    return HamiltonianSpec(qubits=qubits, diagonal=diag)
 
 
 def coupling_matrix(N: int, boundary: Boundary) -> np.ndarray:
@@ -289,14 +281,21 @@ def coupling_matrix(N: int, boundary: Boundary) -> np.ndarray:
 
 @dataclass
 class CasimirReport:
-    """Exact-versus-VQE summary for one family at one lattice size."""
+    """Exact-versus-VQE summary for one family at one lattice size.
+
+    ``mode_results`` holds the per-mode VQE results in register order.
+    """
 
     family: ModeFamily
     exact_energy: float
     vqe_energy: float
     percent_difference: float
-    per_mode_energies: list = field(default_factory=list)
-    subtraction: float = 0.0
+    subtraction: float
+    mode_results: list
+
+    @property
+    def per_mode_energies(self) -> list:
+        return [r.energy for r in self.mode_results]
 
 
 def percent_difference(vqe_energy: float, exact_energy: float) -> float:

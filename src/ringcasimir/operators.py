@@ -136,14 +136,16 @@ def hermiticity_defect(m: np.ndarray) -> float:
         return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     defect = hermiticity_defect(m)
     # A NaN or inf entry always leaves a NaN or inf in M - M^dag.
     if not np.isfinite(defect):
         raise ValueError("matrix has non-finite entries")
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} > {tol:.0e}")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} > {HERMITICITY_TOL:.0e}"
+        )
     return m
 
 

@@ -69,6 +69,21 @@ def _term_key(term):
     return (-abs(coefficient), letters)
 
 
+def _check_term(coefficient: float, letters: str, qubits: int, seen: set) -> None:
+    """Raise ``ValueError`` for a non-finite coefficient, a string of the wrong
+    length or outside IXYZ, or a string already in ``seen``; else add it."""
+    if not math.isfinite(coefficient):
+        raise ValueError(f"string {letters!r} has non-finite coefficient {coefficient}")
+    if len(letters) != qubits:
+        raise ValueError(f"string {letters!r} has length {len(letters)}, expected {qubits}")
+    stray = letters.strip(ALPHABET)  # empty unless a symbol is outside IXYZ
+    if stray:
+        raise ValueError(f"symbol {stray[0]!r} in {letters!r} is not one of IXYZ")
+    if letters in seen:
+        raise ValueError(f"duplicate string {letters!r}")
+    seen.add(letters)
+
+
 @dataclass(frozen=True)
 class PauliSum:
     """Real-weighted sum of n-qubit Pauli strings (a Hermitian operator).
@@ -87,16 +102,7 @@ class PauliSum:
         coerced = tuple((float(c), str(s)) for c, s in self.terms)
         seen = set()
         for coefficient, letters in coerced:
-            if not math.isfinite(coefficient):
-                raise ValueError(f"string {letters!r} has non-finite coefficient {coefficient}")
-            if len(letters) != self.qubits:
-                raise ValueError(f"string {letters!r} has length != {self.qubits}")
-            bad = set(letters) - set(ALPHABET)
-            if bad:
-                raise ValueError(f"string {letters!r} uses symbols outside IXYZ: {bad}")
-            if letters in seen:
-                raise ValueError(f"duplicate string {letters!r}")
-            seen.add(letters)
+            _check_term(coefficient, letters, self.qubits, seen)
         object.__setattr__(self, "terms", tuple(sorted(coerced, key=_term_key)))
 
     def __len__(self) -> int:
@@ -225,21 +231,15 @@ def reconstruct(p: PauliSum) -> np.ndarray:
     return out
 
 
-def term_count(family, N: int) -> int:
-    """Pauli terms of the assembled ring Hamiltonian at size ``N``, with the
-    family's subtraction constant included as an identity shift.
-
-    ``family`` may be a ModeFamily (its ``sites`` is replaced by ``N``) or a
-    family label string.
-    """
+def term_count(label: str, N: int) -> int:
+    """Pauli terms of the assembled ring Hamiltonian of family ``label`` at
+    size ``N``, with the family's subtraction constant included as an
+    identity shift."""
     from .lattice import ModeFamily, ring_hamiltonian, subtraction_constant
 
-    if isinstance(family, str):
-        fam = ModeFamily.from_label(family, N)
-    else:
-        fam = ModeFamily(family.statistics, family.boundary, N)
-    spec = ring_hamiltonian(fam)
-    shifted = spec.diagonal + subtraction_constant(fam.statistics)
+    family = ModeFamily.from_label(label, N)
+    spec = ring_hamiltonian(family)
+    shifted = spec.diagonal + subtraction_constant(family.statistics)
     return len(decompose_diagonal(shifted, DROP_TOL))
 
 
@@ -305,20 +305,11 @@ def parse(text: str) -> PauliSum:
             coefficient = float(fields[0])
         except ValueError:
             raise PauliFormatError(lineno, f"non-numeric coefficient {fields[0]!r}")
-        if not math.isfinite(coefficient):
-            raise PauliFormatError(lineno, f"non-finite coefficient {fields[0]!r}")
-        letters = fields[1]
-        if len(letters) != qubits:
-            raise PauliFormatError(
-                lineno, f"string {letters!r} has length {len(letters)}, expected {qubits}"
-            )
-        bad = sorted(set(letters) - set(ALPHABET))
-        if bad:
-            raise PauliFormatError(lineno, f"symbol {bad[0]!r} is not one of IXYZ")
-        if letters in seen:
-            raise PauliFormatError(lineno, f"duplicate string {letters!r}")
-        seen.add(letters)
-        terms.append((coefficient, letters))
+        try:
+            _check_term(coefficient, fields[1], qubits, seen)
+        except ValueError as exc:
+            raise PauliFormatError(lineno, str(exc)) from None
+        terms.append((coefficient, fields[1]))
     if qubits is None:
         raise PauliFormatError(1, "missing 'qubits <n>' header")
     return PauliSum(qubits, tuple(terms))

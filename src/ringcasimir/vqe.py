@@ -38,6 +38,7 @@ from .lattice import (
     percent_difference,
     subtraction_constant,
 )
+from .operators import bit_parity
 from .pauli import PauliSum, term_values
 
 __all__ = [
@@ -151,14 +152,10 @@ def n_parameters(qubits: int, depth: int, ansatz: str = "ry") -> int:
 
 @lru_cache(maxsize=None)
 def _cz_chain_signs(qubits: int) -> np.ndarray:
-    """Diagonal of the linear-chain CZ entangler (qubit i with i+1)."""
+    """Diagonal of the linear-chain CZ entangler (qubit i with i+1): -1 for
+    an odd number of adjacent set-bit pairs."""
     idx = np.arange(2**qubits)
-    signs = np.ones(2**qubits)
-    for q in range(qubits - 1):
-        b1 = (idx >> (qubits - 1 - q)) & 1
-        b2 = (idx >> (qubits - 2 - q)) & 1
-        signs *= np.where((b1 & b2) == 1, -1.0, 1.0)
-    return signs
+    return np.where(bit_parity(idx & (idx >> 1)), -1.0, 1.0)
 
 
 def ansatz_state(parameters: np.ndarray, qubits: int, depth: int,
@@ -327,48 +324,39 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
     return minimize(objective, x0, cfg, jac=adjoint)
 
 
-def partitioned_run(family: ModeFamily, cfg: VqeConfig = VqeConfig(),
-                    return_mode_results: bool = False):
+def partitioned_run(family: ModeFamily, cfg: VqeConfig = VqeConfig()) -> CasimirReport:
     """One VQE per mode Hamiltonian, summed and corrected into a report.
 
     Mode runs are independent (separately seeded, fixed order); the total is
     the per-mode energy sum plus the family's subtraction constant, compared
     against :func:`casimir_exact`.
     """
-    per_mode = []
-    results = []
-    for k, (member, i) in enumerate(_modes(family)):
-        result = run_vqe(mode_hamiltonian(member, i), replace(cfg, seed=cfg.seed + k))
-        per_mode.append(result.energy)
-        results.append(result)
+    results = [run_vqe(mode_hamiltonian(member, i), replace(cfg, seed=cfg.seed + k))
+               for k, (member, i) in enumerate(_modes(family))]
     correction = subtraction_constant(family.statistics)
-    vqe_energy = float(sum(per_mode)) + correction
+    vqe_energy = float(sum(r.energy for r in results)) + correction
     exact = casimir_exact(family)
-    report = CasimirReport(
+    return CasimirReport(
         family=family,
         exact_energy=exact,
         vqe_energy=vqe_energy,
         percent_difference=percent_difference(vqe_energy, exact),
-        per_mode_energies=per_mode,
         subtraction=correction,
+        mode_results=results,
     )
-    if return_mode_results:
-        return report, results
-    return report
 
 
-def combined_trace(results, offset: float = 0.0) -> list:
+def combined_trace(report: CasimirReport) -> list:
     """Best-total-so-far trace of a sequential partitioned run.
 
     Walks the per-mode traces in mode order; at each accepted iterate of
     mode m the total is (finished modes' best) + (mode m best so far) +
-    (later modes' first evaluation) + ``offset``.  Produces plot-ready
-    monotone data converging to the corrected VQE energy.
+    (later modes' first evaluation) + the subtraction constant.  Produces
+    plot-ready monotone data converging to the corrected VQE energy.
     """
-    if not results:
-        return []
+    results = report.mode_results
     firsts = [r.trace[0][1] if r.trace else r.energy for r in results]
-    bests = [r.energy for r in results]
+    bests = report.per_mode_energies
     rows = []
     step = 0
     for m, result in enumerate(results):
@@ -376,5 +364,5 @@ def combined_trace(results, offset: float = 0.0) -> list:
         later = sum(firsts[m + 1:])
         for _, value in result.trace:
             step += 1
-            rows.append((step, done + value + later + offset))
+            rows.append((step, done + value + later + report.subtraction))
     return rows

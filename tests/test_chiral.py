@@ -258,6 +258,12 @@ def test_jw_ground_equals_dirac_sea(L, eta):
     assert spec.ground_energy() == pytest.approx(dirac_sea_energy(t), abs=1e-9)
 
 
+def test_jw_takes_imaginary_diagonal_within_tolerance():
+    t = np.diag([1.0, -1.0, 0.5]) + 5e-11j * np.eye(3)
+    spec = jordan_wigner_hamiltonian(t)
+    assert abs(spec.ground_energy() - dirac_sea_energy(t)) <= 1e-12
+
+
 def test_jw_capacity():
     with pytest.raises(CapacityError):
         jordan_wigner_hamiltonian(np.eye(14))

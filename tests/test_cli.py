@@ -156,6 +156,14 @@ def test_vqe_capacity_exit_code(capsys):
     assert "cap" in err
 
 
+def test_diagonal_pauli_file_above_cap_exit_code(capsys, tmp_path):
+    path = tmp_path / "big.pauli"
+    path.write_text("qubits 17\n1.0 " + "Z" * 17 + "\n")
+    for argv in (["import", str(path)], ["exact", "--from-file", str(path)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 4 and "16-qubit" in err
+
+
 def test_export_import_round_trip(capsys, tmp_path):
     path = tmp_path / "fp1.pauli"
     code, out, _ = run_cli(
@@ -304,7 +312,7 @@ def test_dispersion_gapping_property(capsys):
     assert min(left) > max(right)
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--family", "anyon-periodic", "--sites", "1"])
     assert exc.value.code == 2
@@ -317,6 +325,10 @@ def test_usage_errors(capsys):
     code, out, err = run_cli(capsys, "dispersion", "--sites", "3", "--dense", "-4")
     assert code == 2
     assert out == "" and err.splitlines()[-1].startswith("error: --dense")
+    for argv in (["import", str(tmp_path)],
+                 ["exact", "--family", "boson-periodic", "--json", str(tmp_path)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error:")
 
 
 def test_outdir_env_var(capsys, tmp_path, monkeypatch):

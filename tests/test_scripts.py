@@ -1,0 +1,39 @@
+import csv
+import json
+import runpy
+from pathlib import Path
+
+import ringcasimir
+from ringcasimir import vqe
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_scripts_write_their_files(tmp_path, monkeypatch):
+    monkeypatch.setenv("RINGCASIMIR_OUTDIR", str(tmp_path))
+    results = []
+
+    def recording_run_vqe(*args, **kwargs):
+        results.append(vqe.run_vqe(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ringcasimir, "run_vqe", recording_run_vqe)
+    for script in ("convergence_traces.py", "chiral_scan.py"):
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+
+    traces = tmp_path / "traces"
+    for label in ("boson-periodic", "boson-twisted", "fermion-periodic", "fermion-twisted"):
+        with open(traces / f"{label}-n8.csv") as fh:
+            assert len(list(csv.DictReader(fh))) > 1
+    with open(traces / "chiral-l3-eta10.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(results) == 1
+    assert float(rows[-1]["energy"]) == results[0].energy
+
+    chiral = tmp_path / "chiral"
+    for name in ("dispersion-l6-eta1.csv", "dispersion-l6-eta5.csv",
+                 "dispersion-l14-eta1.csv", "dispersion-l14-eta10.csv",
+                 "boson-pauli-counts.csv"):
+        assert (chiral / name).stat().st_size > 0
+    report = json.loads((chiral / "reference-report.json").read_text())
+    assert report["casimir"] == report["dirac_sea_energy"] - report["subtraction"]

@@ -346,8 +346,8 @@ def test_partition_additivity_vs_monolithic(label, sites):
 
 def test_combined_trace_monotone_and_offset():
     family = ModeFamily.from_label("boson-periodic", 2)
-    report, results = partitioned_run(family, return_mode_results=True)
-    rows = combined_trace(results, offset=report.subtraction)
+    report = partitioned_run(family)
+    rows = combined_trace(report)
     energies = [e for _, e in rows]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
     assert energies[-1] == pytest.approx(report.vqe_energy, abs=1e-12)
