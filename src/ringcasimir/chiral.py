@@ -37,7 +37,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .hamiltonian import CapacityError, HamiltonianSpec
-from .operators import DENSE_QUBIT_CAP, bit_parity, require_hermitian
+from .operators import DENSE_QUBIT_CAP, require_hermitian
+from .pauli import PauliSum
 
 __all__ = [
     "REFERENCE_SITES",
@@ -134,7 +135,10 @@ def wilson_block(sites: int) -> np.ndarray:
 
 
 def single_particle_matrix(system: ChiralSystem) -> np.ndarray:
-    """The 2L x 2L Hermitian matrix scale * [[K, W], [W^dag, -eta K]]."""
+    """The 2L x 2L Hermitian matrix scale * [[K, W], [W^dag, -eta K]];
+    :class:`CapacityError` above 2L = 2^DENSE_QUBIT_CAP, before allocating."""
+    if 2 * system.sites > 2**DENSE_QUBIT_CAP:
+        raise CapacityError(f"{2 * system.sites} modes exceed the {2**DENSE_QUBIT_CAP}-mode cap")
     k = kinetic_block(system.sites)
     w = wilson_block(system.sites)
     t = np.block([[k, w], [w.conj().T, -system.eta * k]])
@@ -199,35 +203,31 @@ def chiral_casimir(system: ChiralSystem, subtraction: float) -> float:
 
 
 def jordan_wigner_hamiltonian(t: np.ndarray) -> HamiltonianSpec:
-    """Second-quantized H = sum_jk t_jk c_j^dag c_k on one qubit per mode.
+    """Second-quantized H = sum_jk t_jk c_j^dag c_k on one qubit per mode,
+    written as its Pauli sum.
 
-    Built densely from bit operations, mode j (0-based) on bit b_j = 2^(n-1-j)
-    as in :func:`ringcasimir.operators.fermion_lower`: the hop j != k takes
-    each state i with b_k set and b_j clear to i ^ b_j ^ b_k with sign
-    (-1)^popcount(i & bits of the modes strictly between j and k), and j == k
-    adds Re t_jj (a Hermitian diagonal is real, up to the Hermiticity
-    tolerance) on every state with b_j set.  The lowest eigenvalue equals
-    :func:`dirac_sea_energy` of ``t``; capped at ``DENSE_QUBIT_CAP`` qubits.
+    Mode j (0-based) is letter j of each string, as in
+    :func:`ringcasimir.operators.fermion_lower`.  A hop j < k with
+    t_jk = a + ib gives (a/2)(X Z..Z X + Y Z..Z Y) - (b/2) X Z..Z Y +
+    (b/2) Y Z..Z X, with Z on the modes strictly between j and k; a diagonal
+    entry gives Re t_jj (I - Z_j)/2 (a Hermitian diagonal is real, up to the
+    Hermiticity tolerance).  Zero coefficients are dropped.  The lowest
+    eigenvalue equals :func:`dirac_sea_energy` of ``t``; capped at
+    ``DENSE_QUBIT_CAP`` modes.
     """
     t = require_hermitian(np.asarray(t, dtype=complex))
-    n_modes = t.shape[0]
-    if n_modes > DENSE_QUBIT_CAP:
-        raise CapacityError(
-            f"{n_modes} fermionic modes exceed the {DENSE_QUBIT_CAP}-qubit cap"
-        )
-    idx = np.arange(2**n_modes)
-    signs = np.where(bit_parity(idx), -1.0, 1.0)  # (-1)^popcount(i)
-    h = np.zeros((idx.size, idx.size), dtype=complex)
-    for j, k in zip(*np.nonzero(t)):  # row-major: diagonal sums keep their order
-        bj, bk = 1 << (n_modes - 1 - int(j)), 1 << (n_modes - 1 - int(k))
-        if j == k:
-            occupied = idx[(idx & bj) != 0]
-            h[occupied, occupied] += t[j, j].real
-            continue
-        cols = idx[((idx & bk) != 0) & ((idx & bj) == 0)]
-        between = (max(bj, bk) - 1) & ~(2 * min(bj, bk) - 1)
-        h[cols ^ bj ^ bk, cols] += t[j, k] * signs[cols & between]
-    return HamiltonianSpec(qubits=n_modes, matrix=h)
+    n = t.shape[0]
+    if n > DENSE_QUBIT_CAP:
+        raise CapacityError(f"{n} fermionic modes exceed the {DENSE_QUBIT_CAP}-qubit cap")
+    terms = [(t.diagonal().real.sum() / 2, "I" * n)]
+    for j in range(n):
+        terms.append((-t[j, j].real / 2, "I" * j + "Z" + "I" * (n - 1 - j)))
+        for k in range(j + 1, n):
+            a, b = t[j, k].real / 2, t[j, k].imag / 2
+            string = "I" * j + "{}" + "Z" * (k - j - 1) + "{}" + "I" * (n - 1 - k)
+            for c, ends in ((a, "XX"), (a, "YY"), (-b, "XY"), (b, "YX")):
+                terms.append((c, string.format(*ends)))
+    return HamiltonianSpec(qubits=n, pauli=PauliSum(n, tuple(x for x in terms if x[0] != 0.0)))
 
 
 def calibrate_scale_constant(

@@ -3,17 +3,18 @@
 A :class:`HamiltonianSpec` carries a qubit count plus exactly one concrete
 representation: a dense Hermitian matrix, a real diagonal (every ring
 Hamiltonian in this package is diagonal in the computational basis), or a
-Pauli-sum.  ``expectation``, ``apply``, ``ground_energy``, ``as_matrix``
-and ``as_pauli`` all dispatch on the stored representation, so an exact
-expectation costs ``diag . |psi|^2`` for a diagonal, one dense contraction
-for a matrix, and a string loop only for a Pauli-sum.  Dense matrices are
-only materialized up to ``DENSE_QUBIT_CAP`` qubits; diagonal storage
-stretches to ``RING_QUBIT_CAP``.
+Pauli-sum.  ``expectation``, ``apply`` and ``ground_energy`` all compute
+on one diagonal-or-dense form, made once on first use: the stored diagonal
+or matrix, or for a Pauli sum its diagonal (I/Z strings only) or its dense
+matrix.  An exact expectation then costs ``diag . |psi|^2`` or one dense
+contraction.  Dense matrices are only materialized up to
+``DENSE_QUBIT_CAP`` qubits; diagonal forms stretch to ``RING_QUBIT_CAP``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
@@ -24,6 +25,11 @@ from .operators import DENSE_QUBIT_CAP, CapacityError, require_hermitian
 __all__ = ["HamiltonianSpec", "DENSE_QUBIT_CAP", "RING_QUBIT_CAP", "CapacityError"]
 
 RING_QUBIT_CAP = 16
+
+
+def _require_cap(qubits: int, cap: int, kind: str) -> None:
+    if qubits > cap:
+        raise CapacityError(f"{qubits} qubits exceed the {cap}-qubit {kind} cap")
 
 
 @dataclass
@@ -73,40 +79,39 @@ class HamiltonianSpec:
             raise ValueError(f"state dimension {state.shape[0]} != 2^{self.qubits}")
         return state
 
+    @cached_property
+    def _form(self) -> np.ndarray:
+        """The 1-D diagonal or 2-D matrix every exact product is computed on."""
+        if self.pauli is None:
+            return self.matrix if self.diagonal is None else self.diagonal
+        if _pauli.is_diagonal(self.pauli):
+            _require_cap(self.qubits, RING_QUBIT_CAP, "diagonal")
+            return _pauli.diagonal_part(self.pauli)
+        _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
+        return _pauli.reconstruct(self.pauli)
+
     def expectation(self, state: np.ndarray) -> float:
         """<state| H |state> for a normalized state of dimension ``2**qubits``."""
-        if self.pauli is not None:
-            return _pauli.expectation(self.pauli, state)
-        state = self._vector(state)
-        if self.diagonal is not None:
-            return float(self.diagonal @ (state.real**2 + state.imag**2))
+        state, form = self._vector(state), self._form
+        if form.ndim == 1:
+            return float(form @ (state.real**2 + state.imag**2))
         # einsum rather than a BLAS matvec: the matvec stalls on thread
         # hand-off when called thousands of times inside an optimizer loop.
-        return float(np.einsum("i,ij,j->", state.conj(), self.matrix, state).real)
+        return float(np.einsum("i,ij,j->", state.conj(), form, state).real)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """H|state> as a new vector, from the stored representation."""
-        state = self._vector(state)
-        if self.diagonal is not None:
-            return self.diagonal * state
-        if self.matrix is not None:
-            return np.einsum("ij,j->i", self.matrix, state)  # no BLAS matvec, as above
-        out = np.zeros_like(state)
-        for coefficient, flip, f in _pauli._string_actions(self.pauli):
-            out[flip] += coefficient * f * state
-        return out
+        """H|state> as a new vector."""
+        state, form = self._vector(state), self._form
+        if form.ndim == 1:
+            return form * state
+        return np.einsum("ij,j->i", form, state)  # no BLAS matvec, as above
 
     def as_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix; materialized on demand below the cap."""
-        if self.matrix is not None:
-            return self.matrix
-        if self.qubits > DENSE_QUBIT_CAP:
-            raise CapacityError(
-                f"{self.qubits} qubits exceed the {DENSE_QUBIT_CAP}-qubit dense cap"
-            )
-        if self.diagonal is not None:
-            return np.diag(self.diagonal.astype(complex))
-        return _pauli.reconstruct(self.pauli)
+        if self.matrix is None:
+            _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
+        form = self._form
+        return form if form.ndim == 2 else np.diag(form.astype(complex))
 
     def as_pauli(self):
         """The :class:`ringcasimir.pauli.PauliSum` form, decomposed on demand."""
@@ -117,13 +122,8 @@ class HamiltonianSpec:
         return _pauli._decompose(self.matrix)  # checked Hermitian on construction
 
     def ground_energy(self) -> float:
-        """Lowest eigenvalue, via the cheapest path for the stored form."""
-        if self.diagonal is not None:
-            return float(self.diagonal.min())
-        if self.pauli is not None and _pauli.is_diagonal(self.pauli):
-            if self.qubits > RING_QUBIT_CAP:
-                raise CapacityError(
-                    f"{self.qubits} qubits exceed the {RING_QUBIT_CAP}-qubit diagonal cap"
-                )
-            return float(_pauli.diagonal_part(self.pauli).min())
-        return float(np.linalg.eigvalsh(self.as_matrix())[0])
+        """Lowest eigenvalue: the minimum of a diagonal form, else ``eigvalsh``."""
+        form = self._form
+        if form.ndim == 1:
+            return float(form.min())
+        return float(np.linalg.eigvalsh(form)[0])

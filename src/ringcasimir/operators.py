@@ -23,7 +23,6 @@ __all__ = [
     "PAULI_Z",
     "BOSON_LOWER4",
     "FERMION_LOWER2",
-    "KRON_DIM_CAP",
     "DENSE_QUBIT_CAP",
     "HERMITICITY_TOL",
     "CapacityError",
@@ -57,11 +56,8 @@ BOSON_LOWER4 = np.array(
 # Single-mode fermionic lowering operator (occupation basis |0>, |1>).
 FERMION_LOWER2 = np.array([[0, 1], [0, 0]], dtype=complex)
 
-# Dense Kronecker products refuse to build anything above this dimension.
-KRON_DIM_CAP = 2**20
-
-# No dense 2^n x 2^n operator (matrix, Pauli decomposition, Jordan-Wigner
-# Hamiltonian) is built above this many qubits.
+# No dense 2^n x 2^n operator (matrix, Kronecker chain, Pauli decomposition,
+# Jordan-Wigner Hamiltonian) is built above this many qubits.
 DENSE_QUBIT_CAP = 12
 
 HERMITICITY_TOL = 1e-10
@@ -85,7 +81,8 @@ def kron_chain(factors) -> np.ndarray:
     """Kronecker product of ``factors`` in list order (first factor leftmost).
 
     Raises ``ValueError`` on an empty list or non-square factor, and
-    ``CapacityError`` if the product dimension would exceed ``KRON_DIM_CAP``.
+    ``CapacityError`` if the product dimension would exceed
+    ``2**DENSE_QUBIT_CAP``.
     """
     factors = [np.asarray(f, dtype=complex) for f in factors]
     if not factors:
@@ -95,8 +92,8 @@ def kron_chain(factors) -> np.ndarray:
         if f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise ValueError(f"factor {k} is not a square matrix: shape {f.shape}")
         dim *= f.shape[0]
-    if dim > KRON_DIM_CAP:
-        raise CapacityError(f"kron_chain dimension {dim} exceeds cap {KRON_DIM_CAP}")
+    if dim > 2**DENSE_QUBIT_CAP:
+        raise CapacityError(f"kron_chain dimension {dim} exceeds cap {2**DENSE_QUBIT_CAP}")
     return reduce(np.kron, factors)
 
 

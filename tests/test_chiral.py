@@ -28,6 +28,7 @@ from ringcasimir.chiral import (
 )
 from ringcasimir.hamiltonian import CapacityError
 from ringcasimir.operators import fermion_lower, hermitian_eigen
+from ringcasimir.pauli import decompose
 
 # The printed 6x6 blocks of the ring Hamiltonian.
 KINETIC_6 = np.array(
@@ -248,7 +249,40 @@ def test_jw_matches_dense_operator_construction(n, seed):
     for j in range(n):
         for k in range(n):
             dense += t[j, k] * (ops[j].conj().T @ ops[k])
-    assert np.max(np.abs(jordan_wigner_hamiltonian(t).matrix - dense)) <= 1e-12
+    assert np.max(np.abs(jordan_wigner_hamiltonian(t).as_matrix() - dense)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_jw_pauli_sum_matches_dense_decomposition(n, seed):
+    # oracle: decompose the dense sum t_jk c_j^dag c_k built from fermion_lower
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    t = (a + a.conj().T) / 2
+    zeros = rng.random((n, n)) < 0.3
+    t[zeros | zeros.T] = 0.0
+    ops = [fermion_lower(i, n) for i in range(1, n + 1)]
+    dense = sum(t[j, k] * (ops[j].conj().T @ ops[k]) for j in range(n) for k in range(n))
+    spec = jordan_wigner_hamiltonian(t)
+    assert spec.matrix is None and spec.diagonal is None
+    written = {s: c for c, s in spec.pauli.terms}
+    oracle = {s: c for c, s in decompose(dense).terms}
+    assert written.keys() == oracle.keys()
+    assert all(abs(written[s] - oracle[s]) <= 1e-12 for s in oracle)
+    assert all(c != 0.0 for c in written.values())
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+@pytest.mark.parametrize("eta", [1.0, 10.0])
+def test_jw_chiral_sum_equals_decomposed_matrix(L, eta):
+    # pins shot mode, which samples the terms of as_pauli()
+    spec = jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(L, eta)))
+    assert spec.pauli == decompose(spec.as_matrix())
+
+
+def test_single_particle_matrix_capacity():
+    with pytest.raises(CapacityError):
+        single_particle_matrix(ChiralSystem(2049, 10.0))
 
 
 @pytest.mark.parametrize("L,eta", [(2, 1.0), (2, 10.0), (3, 10.0)])

@@ -156,6 +156,12 @@ def test_vqe_capacity_exit_code(capsys):
     assert "cap" in err
 
 
+def test_chiral_sites_above_cap_exit_code(capsys):
+    code, _, err = run_cli(capsys, "exact", "--chiral", "--sites", "2049")
+    assert code == 4
+    assert "cap" in err
+
+
 def test_diagonal_pauli_file_above_cap_exit_code(capsys, tmp_path):
     path = tmp_path / "big.pauli"
     path.write_text("qubits 17\n1.0 " + "Z" * 17 + "\n")
@@ -264,6 +270,18 @@ GOLDEN_FILES = {
         b"8,16,17\n"
     ),
 }
+
+
+def test_exact_chiral_vqe_golden(capsys):
+    # COBYLA, whose path does not depend on the BLAS thread count
+    code, out, _ = run_cli(
+        capsys, "vqe", "--chiral", "--sites", "2", "--eta", "10", "--ansatz", "ry-rz",
+        "--depth", "2", "--seed", "3", "--init-spread", "3.14159", "--max-iterations", "400",
+    )
+    record = json.loads(out)
+    assert code == 3
+    assert record["vqe_energy"] == -1.4702311756272797
+    assert record["evaluations"] == 400
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_FILES))

@@ -10,7 +10,15 @@ from ringcasimir import pauli, vqe
 from ringcasimir.chiral import ChiralSystem, jordan_wigner_hamiltonian, single_particle_matrix
 from ringcasimir.hamiltonian import HamiltonianSpec
 from ringcasimir.lattice import ModeFamily, mode_hamiltonian, ring_hamiltonian
-from ringcasimir.pauli import decompose, decompose_diagonal, reconstruct
+from ringcasimir.pauli import (
+    PauliSum,
+    decompose,
+    decompose_diagonal,
+    diagonal_part,
+    parse,
+    reconstruct,
+    serialize,
+)
 from ringcasimir.vqe import Optimizer, VqeConfig, VqeResult, partitioned_run, run_vqe
 
 
@@ -65,8 +73,46 @@ def test_apply_matches_the_dense_product(qubits, diagonal, seed):
         assert np.array_equal(psi, before)
 
 
+def random_pauli_sum(rng, qubits, diagonal):
+    letters = "IZ" if diagonal else "IXYZ"
+    strings = {"".join(rng.choice(list(letters), size=qubits)) for _ in range(2 * qubits + 2)}
+    strings.add("Z" * qubits if diagonal else "X" * qubits)
+    return PauliSum(qubits, tuple((float(rng.normal()), s) for s in sorted(strings)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_pauli_spec_computes_on_its_diagonal_or_dense_form(qubits, diagonal, seed):
+    rng = np.random.default_rng(seed)
+    p = random_pauli_sum(rng, qubits, diagonal)
+    psi = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
+    psi /= np.linalg.norm(psi)
+    spec = HamiltonianSpec(qubits=qubits, pauli=p)
+    if diagonal:
+        same = HamiltonianSpec(qubits=qubits, diagonal=diagonal_part(p))
+    else:
+        same = HamiltonianSpec(qubits=qubits, matrix=reconstruct(p))
+    assert spec.expectation(psi) == same.expectation(psi)
+    assert np.array_equal(spec.apply(psi), same.apply(psi))
+    assert spec.ground_energy() == same.ground_energy()
+
+
+def test_pauli_spec_reconstructs_once(monkeypatch):
+    p = random_pauli_sum(np.random.default_rng(5), 3, False)
+    calls = []
+    monkeypatch.setattr(pauli, "reconstruct", lambda q: calls.append(q) or reconstruct(q))
+    spec = HamiltonianSpec(qubits=3, pauli=p)
+    psi = np.full(8, 8**-0.5, dtype=complex)
+    for _ in range(25):
+        spec.expectation(psi)
+        spec.apply(psi)
+    assert spec.as_matrix() is spec.as_matrix()
+    spec.ground_energy()
+    assert calls == [p]
+
+
 @pytest.mark.parametrize("h", [
-    jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(2, 10.0))).matrix,
+    jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(2, 10.0))).as_matrix(),
     random_operator(np.random.default_rng(3), 3, False),
 ])
 def test_as_pauli_skips_the_second_hermitian_check(monkeypatch, h):
@@ -147,6 +193,8 @@ def _forbid(monkeypatch, *names):
 @pytest.mark.parametrize("build", [
     lambda: ring_hamiltonian(ModeFamily.from_label("boson-twisted", 2)),
     lambda: jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(2, 10.0))),
+    lambda: HamiltonianSpec(qubits=4, pauli=parse(serialize(decompose_diagonal(
+        ring_hamiltonian(ModeFamily.from_label("boson-periodic", 2)).diagonal)))),
 ])
 def test_exact_vqe_takes_no_pauli_detour(monkeypatch, build):
     spec = build()

@@ -47,6 +47,13 @@ def test_kron_chain_errors():
         kron_chain([np.eye(2)] * 21)
 
 
+def test_dense_operators_stop_at_the_dense_qubit_cap():
+    with pytest.raises(CapacityError):
+        kron_chain([np.eye(2)] * 13)
+    with pytest.raises(CapacityError):
+        boson_lower(1, 7)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_kron_chain_associative(da, db, dc, data):

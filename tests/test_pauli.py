@@ -94,7 +94,7 @@ def structured_hermitian(rng, kind, qubits):
         h[idx, idx ^ int(rng.integers(1, d))] = rng.normal(size=d) + 1j * rng.normal(size=d)
         return (h + h.conj().T) / 2
     a = rng.normal(size=(qubits, qubits)) + 1j * rng.normal(size=(qubits, qubits))
-    return jordan_wigner_hamiltonian((a + a.conj().T) / 2).matrix
+    return jordan_wigner_hamiltonian((a + a.conj().T) / 2).as_matrix()
 
 
 @settings(max_examples=40, deadline=None)
