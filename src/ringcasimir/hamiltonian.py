@@ -3,12 +3,13 @@
 A :class:`HamiltonianSpec` carries a qubit count plus exactly one concrete
 representation: a dense Hermitian matrix, a real diagonal (every ring
 Hamiltonian in this package is diagonal in the computational basis), or a
-Pauli-sum.  ``expectation``, ``apply`` and ``ground_energy`` all compute
-on one diagonal-or-dense form, made once on first use: the stored diagonal
-or matrix, or for a Pauli sum its diagonal (I/Z strings only) or its dense
-matrix.  An exact expectation then costs ``diag . |psi|^2`` or one dense
-contraction.  Dense matrices are only materialized up to
-``DENSE_QUBIT_CAP`` qubits; diagonal forms stretch to ``RING_QUBIT_CAP``.
+Pauli-sum.  ``expectation`` and ``apply`` compute on one form, made once on
+first use: the stored diagonal or matrix, or for a Pauli sum its diagonal
+(I/Z strings only), up to ``DENSE_FORM_QUBITS`` qubits its dense matrix, and
+above that its flip rows <r|H|r ^ x>, one per flip mask x that occurs, so a
+sparse sum costs O(flips * 2^n) per product.  Dense matrices are only
+materialized up to ``DENSE_QUBIT_CAP`` qubits; diagonal forms stretch to
+``RING_QUBIT_CAP``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .operators import DENSE_QUBIT_CAP, CapacityError, require_hermitian
 __all__ = ["HamiltonianSpec", "DENSE_QUBIT_CAP", "RING_QUBIT_CAP", "CapacityError"]
 
 RING_QUBIT_CAP = 16
+# Up to 8 qubits a Pauli sum computes on its dense matrix, bit for bit as a
+# matrix spec of it would, at no more cost than a loop over its terms; above,
+# the dense product grows as 4^n and the flip rows take over.
+DENSE_FORM_QUBITS = 8
 
 
 def _require_cap(qubits: int, cap: int, kind: str) -> None:
@@ -80,19 +85,28 @@ class HamiltonianSpec:
         return state
 
     @cached_property
-    def _form(self) -> np.ndarray:
-        """The 1-D diagonal or 2-D matrix every exact product is computed on."""
+    def _form(self):
+        """The 1-D diagonal, 2-D matrix or ``(gather, rows)`` flip rows every
+        exact product is computed on; read-only when built from a Pauli sum."""
         if self.pauli is None:
             return self.matrix if self.diagonal is None else self.diagonal
         if _pauli.is_diagonal(self.pauli):
             _require_cap(self.qubits, RING_QUBIT_CAP, "diagonal")
-            return _pauli.diagonal_part(self.pauli)
-        _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
-        return _pauli.reconstruct(self.pauli)
+            form = _pauli.diagonal_part(self.pauli)
+        elif self.qubits <= DENSE_FORM_QUBITS:
+            form = _pauli.reconstruct(self.pauli)
+        else:
+            _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
+            flips, rows = _pauli._flip_rows(self.pauli)
+            return np.arange(self.dim) ^ flips[:, None], rows  # [k, r] -> r ^ flips[k]
+        form.flags.writeable = False
+        return form
 
     def expectation(self, state: np.ndarray) -> float:
         """<state| H |state> for a normalized state of dimension ``2**qubits``."""
         state, form = self._vector(state), self._form
+        if isinstance(form, tuple):
+            return float(np.vdot(state, self.apply(state)).real)
         if form.ndim == 1:
             return float(form @ (state.real**2 + state.imag**2))
         # einsum rather than a BLAS matvec: the matvec stalls on thread
@@ -102,15 +116,21 @@ class HamiltonianSpec:
     def apply(self, state: np.ndarray) -> np.ndarray:
         """H|state> as a new vector."""
         state, form = self._vector(state), self._form
+        if isinstance(form, tuple):
+            gather, rows = form
+            return np.einsum("kr,kr->r", rows, state[gather])
         if form.ndim == 1:
             return form * state
         return np.einsum("ij,j->i", form, state)  # no BLAS matvec, as above
 
     def as_matrix(self) -> np.ndarray:
-        """Dense Hermitian matrix; materialized on demand below the cap."""
+        """Dense Hermitian matrix, materialized on demand below the cap; a
+        stored matrix or a Pauli sum's read-only dense form is not copied."""
         if self.matrix is None:
             _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
         form = self._form
+        if isinstance(form, tuple):
+            return _pauli.reconstruct(self.pauli)
         return form if form.ndim == 2 else np.diag(form.astype(complex))
 
     def as_pauli(self):
@@ -124,6 +144,8 @@ class HamiltonianSpec:
     def ground_energy(self) -> float:
         """Lowest eigenvalue: the minimum of a diagonal form, else ``eigvalsh``."""
         form = self._form
+        if isinstance(form, tuple):
+            form = self.as_matrix()
         if form.ndim == 1:
             return float(form.min())
         return float(np.linalg.eigvalsh(form)[0])

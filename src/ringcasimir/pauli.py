@@ -221,13 +221,24 @@ def diagonal_part(p: PauliSum) -> np.ndarray:
     return out
 
 
+def _flip_rows(p: PauliSum):
+    """``(flips, rows)`` with rows[k, r] = <r| sum |r ^ flips[k]>: the matrix
+    entries of each flip mask that occurs, summed in term order."""
+    actions = list(_string_actions(p))
+    flips = np.unique(np.array([flip[0] for _, flip, _ in actions], dtype=int))  # 0 ^ x
+    rows = np.zeros((flips.size, 2**p.qubits), dtype=complex)
+    for coefficient, flip, f in actions:
+        rows[np.searchsorted(flips, flip[0])] += coefficient * f[flip]
+    return flips, rows
+
+
 def reconstruct(p: PauliSum) -> np.ndarray:
     """Dense matrix sum(c_P P); inverse of :func:`decompose` at drop_tol 0."""
     dim = 2**p.qubits
     idx = np.arange(dim)
+    flips, rows = _flip_rows(p)
     out = np.zeros((dim, dim), dtype=complex)
-    for coefficient, flip, f in _string_actions(p):
-        out[flip, idx] += coefficient * f
+    out[idx, idx ^ flips[:, None]] = rows
     return out
 
 

@@ -10,6 +10,7 @@ from ringcasimir import pauli, vqe
 from ringcasimir.chiral import ChiralSystem, jordan_wigner_hamiltonian, single_particle_matrix
 from ringcasimir.hamiltonian import HamiltonianSpec
 from ringcasimir.lattice import ModeFamily, mode_hamiltonian, ring_hamiltonian
+from ringcasimir.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_chain
 from ringcasimir.pauli import (
     PauliSum,
     decompose,
@@ -107,7 +108,41 @@ def test_pauli_spec_reconstructs_once(monkeypatch):
         spec.expectation(psi)
         spec.apply(psi)
     assert spec.as_matrix() is spec.as_matrix()
+    assert not spec.as_matrix().flags.writeable
     spec.ground_energy()
+    assert calls == [p]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sparse_pauli_spec_computes_on_flip_rows(seed):
+    # above DENSE_FORM_QUBITS (8) a non-diagonal sum is never densified for
+    # expectation or apply; oracle: the sum of Kronecker products
+    rng, qubits = np.random.default_rng(seed), 9
+    p = random_pauli_sum(rng, qubits, False)
+    psi = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
+    psi /= np.linalg.norm(psi)
+    letter = dict(zip("IXYZ", (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)))
+    h = sum(c * kron_chain([letter[a] for a in s]) for c, s in p.terms)
+    spec = HamiltonianSpec(qubits=qubits, pauli=p)
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid(patch, "reconstruct")
+        assert spec.expectation(psi) == pytest.approx(float(np.vdot(psi, h @ psi).real), abs=1e-12)
+        assert np.max(np.abs(spec.apply(psi) - h @ psi)) < 1e-12
+    assert np.max(np.abs(spec.as_matrix() - h)) < 1e-12
+    assert spec.ground_energy() == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
+
+
+def test_flip_rows_are_built_once(monkeypatch):
+    p = random_pauli_sum(np.random.default_rng(5), 9, False)
+    calls = []
+    build = pauli._flip_rows
+    monkeypatch.setattr(pauli, "_flip_rows", lambda q: calls.append(q) or build(q))
+    spec = HamiltonianSpec(qubits=9, pauli=p)
+    psi = np.full(512, 512**-0.5, dtype=complex)
+    for _ in range(25):
+        spec.expectation(psi)
+        spec.apply(psi)
     assert calls == [p]
 
 
