@@ -70,7 +70,7 @@ EXIT_PARSE = 5
 
 # Flags that only one selector reads; the other selectors refuse them.
 _SELECTOR_FLAGS = {"sweep": "family", "no_correction": "family",
-                   "subtraction": "chiral", "scale": "chiral"}
+                   "subtraction": "chiral", "scale": "chiral", "eta": "chiral"}
 
 
 def _json(obj) -> str:
@@ -154,6 +154,8 @@ def cmd_exact(args) -> int:
         system = _chiral_system(args)
         sea = dirac_sea_energy(single_particle_matrix(system))
         if args.subtraction is not None:
+            if not np.isfinite(args.subtraction):
+                raise ValueError(f"--subtraction must be finite, got {args.subtraction}")
             subtraction = args.subtraction
         elif (args.sites, args.eta) == (REFERENCE_SITES, REFERENCE_ETA) and args.scale is None:
             subtraction = REFERENCE_SUBTRACTION
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chiral", action="store_true")
     p.add_argument("--from-file", help="ground energy of a Pauli text file")
     p.add_argument("--sites", type=int, default=1)
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--eta", type=float, default=None, help="chiral deformation (default: 1)")
     p.add_argument("--scale", type=float, default=None,
                    help="chiral normalization (default: calibrated const/sites)")
     p.add_argument("--subtraction", type=float, default=None)
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chiral", action="store_true")
     p.add_argument("--from-file", help="run on a Pauli text file")
     p.add_argument("--sites", type=int, default=1)
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--eta", type=float, default=None, help="chiral deformation (default: 1)")
     p.add_argument("--scale", type=float, default=None)
     _add_vqe_flags(p)
     p.add_argument("--json", help="write the result record JSON here")
@@ -405,6 +407,8 @@ def main(argv=None) -> int:
             value = getattr(args, dest, None)
             if value is not None and value is not False and not getattr(args, owner):
                 parser.error(f"--{dest.replace('_', '-')} only applies with --{owner}")
+        if args.chiral and args.eta is None:
+            args.eta = 1.0
     try:
         return args.fn(args)
     except PauliFormatError as exc:

@@ -4,10 +4,10 @@ A :class:`HamiltonianSpec` carries a qubit count plus exactly one concrete
 representation: a dense Hermitian matrix, a real diagonal (every ring
 Hamiltonian in this package is diagonal in the computational basis), or a
 Pauli-sum.  ``expectation`` and ``apply`` compute on one form, made once on
-first use: the stored diagonal or matrix, or for a Pauli sum its diagonal
-(I/Z strings only), up to ``DENSE_FORM_QUBITS`` qubits its dense matrix, and
-above that its flip rows <r|H|r ^ x>, one per flip mask x that occurs, so a
-sparse sum costs O(flips * 2^n) per product.  Dense matrices are only
+first use: a real diagonal (the stored one, or a Pauli sum's when it has I/Z
+strings only), or else the flip rows <r|H|r ^ x>, one per flip mask x that
+occurs, gathered from the stored matrix or summed from the Pauli strings, so
+a sparse operator costs O(flips * 2^n) per product.  Dense matrices are only
 materialized up to ``DENSE_QUBIT_CAP`` qubits; diagonal forms stretch to
 ``RING_QUBIT_CAP``.
 """
@@ -26,10 +26,6 @@ from .operators import DENSE_QUBIT_CAP, CapacityError, require_hermitian
 __all__ = ["HamiltonianSpec", "DENSE_QUBIT_CAP", "RING_QUBIT_CAP", "CapacityError"]
 
 RING_QUBIT_CAP = 16
-# Up to 8 qubits a Pauli sum computes on its dense matrix, bit for bit as a
-# matrix spec of it would, at no more cost than a loop over its terms; above,
-# the dense product grows as 4^n and the flip rows take over.
-DENSE_FORM_QUBITS = 8
 
 
 def _require_cap(qubits: int, cap: int, kind: str) -> None:
@@ -86,32 +82,27 @@ class HamiltonianSpec:
 
     @cached_property
     def _form(self):
-        """The 1-D diagonal, 2-D matrix or ``(gather, rows)`` flip rows every
-        exact product is computed on; read-only when built from a Pauli sum."""
-        if self.pauli is None:
-            return self.matrix if self.diagonal is None else self.diagonal
-        if _pauli.is_diagonal(self.pauli):
+        """The real 1-D diagonal, or the ``(gather, rows)`` flip rows with
+        (H psi)[r] = sum_k rows[k, r] psi[gather[k, r]], of every exact product."""
+        if self.diagonal is not None:
+            return self.diagonal
+        if self.matrix is not None:
+            flips, columns = _pauli._matrix_flip_rows(self.matrix)
+            rows = columns.T.copy()  # C order like a Pauli sum's, for the same bits
+        elif _pauli.is_diagonal(self.pauli):
             _require_cap(self.qubits, RING_QUBIT_CAP, "diagonal")
-            form = _pauli.diagonal_part(self.pauli)
-        elif self.qubits <= DENSE_FORM_QUBITS:
-            form = _pauli.reconstruct(self.pauli)
+            return _pauli.diagonal_part(self.pauli)
         else:
             _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
             flips, rows = _pauli._flip_rows(self.pauli)
-            return np.arange(self.dim) ^ flips[:, None], rows  # [k, r] -> r ^ flips[k]
-        form.flags.writeable = False
-        return form
+        return np.arange(self.dim) ^ flips[:, None], rows  # [k, r] -> r ^ flips[k]
 
     def expectation(self, state: np.ndarray) -> float:
         """<state| H |state> for a normalized state of dimension ``2**qubits``."""
         state, form = self._vector(state), self._form
         if isinstance(form, tuple):
             return float(np.vdot(state, self.apply(state)).real)
-        if form.ndim == 1:
-            return float(form @ (state.real**2 + state.imag**2))
-        # einsum rather than a BLAS matvec: the matvec stalls on thread
-        # hand-off when called thousands of times inside an optimizer loop.
-        return float(np.einsum("i,ij,j->", state.conj(), form, state).real)
+        return float(form @ (state.real**2 + state.imag**2))
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """H|state> as a new vector."""
@@ -119,19 +110,17 @@ class HamiltonianSpec:
         if isinstance(form, tuple):
             gather, rows = form
             return np.einsum("kr,kr->r", rows, state[gather])
-        if form.ndim == 1:
-            return form * state
-        return np.einsum("ij,j->i", form, state)  # no BLAS matvec, as above
+        return form * state
 
     def as_matrix(self) -> np.ndarray:
-        """Dense Hermitian matrix, materialized on demand below the cap; a
-        stored matrix or a Pauli sum's read-only dense form is not copied."""
-        if self.matrix is None:
-            _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
-        form = self._form
-        if isinstance(form, tuple):
+        """Dense Hermitian matrix: the stored one, or else a new array
+        materialized below the cap."""
+        if self.matrix is not None:
+            return self.matrix
+        _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
+        if self.diagonal is None and not _pauli.is_diagonal(self.pauli):
             return _pauli.reconstruct(self.pauli)
-        return form if form.ndim == 2 else np.diag(form.astype(complex))
+        return np.diag(self._form.astype(complex))
 
     def as_pauli(self):
         """The :class:`ringcasimir.pauli.PauliSum` form, decomposed on demand."""
@@ -143,9 +132,6 @@ class HamiltonianSpec:
 
     def ground_energy(self) -> float:
         """Lowest eigenvalue: the minimum of a diagonal form, else ``eigvalsh``."""
-        form = self._form
-        if isinstance(form, tuple):
-            form = self.as_matrix()
-        if form.ndim == 1:
-            return float(form.min())
-        return float(np.linalg.eigvalsh(form)[0])
+        if self.matrix is not None or isinstance(self._form, tuple):
+            return float(np.linalg.eigvalsh(self.as_matrix())[0])
+        return float(self._form.min())

@@ -165,20 +165,28 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
 def _decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     """:func:`decompose` without input checks, for a known-Hermitian matrix."""
     dim = h.shape[0]
-    qubits = dim.bit_length() - 1
-    flips = np.flatnonzero(np.bincount(np.bitwise_xor(*np.nonzero(h)), minlength=dim))
-    if qubits > DENSE_QUBIT_CAP and flips.any():
-        raise CapacityError(f"{qubits} qubits exceed the {DENSE_QUBIT_CAP}-qubit decomposition cap")
-    idx = np.arange(dim)[:, None]
-    coeffs = _walsh_hadamard(h[idx, idx ^ flips])  # column k holds x = flips[k]
-    popcount = np.array([z.bit_count() for z in range(dim)])
-    phases = np.array(_PHASES)
+    flips, columns = _matrix_flip_rows(h)
+    coeffs = _walsh_hadamard(columns)  # column k holds x = flips[k]
+    phases = np.array(_PHASES)[[z.bit_count() % 4 for z in range(dim)]]  # i^popcount(z)
     for z, row in enumerate(coeffs):
-        row *= phases[popcount[z & flips] % 4]  # i^n_Y
+        row *= phases[z & flips]  # i^n_Y
     coeffs /= dim
     if np.any(np.abs(coeffs.imag) > 1e-10):
         raise ValueError("Hermitian input produced non-real Pauli coefficients")
-    return _pauli_sum(coeffs.real, flips, qubits, drop_tol)
+    return _pauli_sum(coeffs.real, flips, dim.bit_length() - 1, drop_tol)
+
+
+def _matrix_flip_rows(h: np.ndarray):
+    """``(flips, columns)``: the ascending flip masks x with a nonzero entry
+    and, in column k, the flip row h[r, r ^ flips[k]] of :func:`_flip_rows`.
+    Any x != 0 above ``DENSE_QUBIT_CAP`` qubits raises :class:`CapacityError`."""
+    dim = h.shape[0]
+    qubits = dim.bit_length() - 1
+    flips = np.flatnonzero(np.bincount(np.bitwise_xor(*np.nonzero(h)), minlength=dim))
+    if qubits > DENSE_QUBIT_CAP and flips.any():
+        raise CapacityError(f"{qubits} qubits exceed the {DENSE_QUBIT_CAP}-qubit dense cap")
+    idx = np.arange(dim)[:, None]
+    return flips, h[idx, idx ^ flips]
 
 
 def decompose_diagonal(diagonal: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:

@@ -150,6 +150,14 @@ def test_vqe_non_finite_init_spread_is_usage_error(capsys):
     assert err.startswith("error:") and "init_spread" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_exact_non_finite_subtraction_is_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, "exact", "--chiral", "--sites", "3", "--subtraction", value)
+    assert code == 2
+    assert err.startswith("error:") and "--subtraction" in err
+    assert "casimir" not in out
+
+
 def test_vqe_capacity_exit_code(capsys):
     code, _, err = run_cli(capsys, "vqe", "--chiral", "--sites", "7", "--eta", "5")
     assert code == 4
@@ -280,7 +288,7 @@ def test_exact_chiral_vqe_golden(capsys):
     )
     record = json.loads(out)
     assert code == 3
-    assert record["vqe_energy"] == -1.4702311756272797
+    assert record["vqe_energy"] == -1.4702311756273112
     assert record["evaluations"] == 400
 
 
@@ -377,6 +385,8 @@ def test_non_finite_input_exit_codes(capsys, tmp_path):
     ["exact", "--family", "boson-periodic", "--scale", "0.5"],
     ["exact", "--family", "boson-periodic", "--subtraction", "0"],
     ["vqe", "--from-file", "h.pauli", "--scale", "0.5"],
+    ["exact", "--family", "boson-periodic", "--sites", "2", "--eta", "10"],
+    ["vqe", "--from-file", "f.pauli", "--eta", "7"],
 ])
 def test_flags_the_selector_ignores_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -82,7 +82,7 @@ def random_pauli_sum(rng, qubits, diagonal):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
 def test_pauli_spec_computes_on_its_diagonal_or_dense_form(qubits, diagonal, seed):
     rng = np.random.default_rng(seed)
     p = random_pauli_sum(rng, qubits, diagonal)
@@ -98,27 +98,13 @@ def test_pauli_spec_computes_on_its_diagonal_or_dense_form(qubits, diagonal, see
     assert spec.ground_energy() == same.ground_energy()
 
 
-def test_pauli_spec_reconstructs_once(monkeypatch):
-    p = random_pauli_sum(np.random.default_rng(5), 3, False)
-    calls = []
-    monkeypatch.setattr(pauli, "reconstruct", lambda q: calls.append(q) or reconstruct(q))
-    spec = HamiltonianSpec(qubits=3, pauli=p)
-    psi = np.full(8, 8**-0.5, dtype=complex)
-    for _ in range(25):
-        spec.expectation(psi)
-        spec.apply(psi)
-    assert spec.as_matrix() is spec.as_matrix()
-    assert not spec.as_matrix().flags.writeable
-    spec.ground_energy()
-    assert calls == [p]
-
-
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_sparse_pauli_spec_computes_on_flip_rows(seed):
-    # above DENSE_FORM_QUBITS (8) a non-diagonal sum is never densified for
-    # expectation or apply; oracle: the sum of Kronecker products
-    rng, qubits = np.random.default_rng(seed), 9
+@pytest.mark.parametrize("qubits", [3, 6, 9])
+def test_sparse_pauli_spec_computes_on_flip_rows(qubits, seed):
+    # a non-diagonal sum is never densified for expectation or apply;
+    # oracle: the sum of Kronecker products
+    rng = np.random.default_rng(seed)
     p = random_pauli_sum(rng, qubits, False)
     psi = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
     psi /= np.linalg.norm(psi)
@@ -133,17 +119,19 @@ def test_sparse_pauli_spec_computes_on_flip_rows(seed):
     assert spec.ground_energy() == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
 
 
-def test_flip_rows_are_built_once(monkeypatch):
-    p = random_pauli_sum(np.random.default_rng(5), 9, False)
-    calls = []
-    build = pauli._flip_rows
-    monkeypatch.setattr(pauli, "_flip_rows", lambda q: calls.append(q) or build(q))
-    spec = HamiltonianSpec(qubits=9, pauli=p)
-    psi = np.full(512, 512**-0.5, dtype=complex)
+@pytest.mark.parametrize("qubits, stored", [(3, "pauli"), (9, "pauli"), (3, "matrix")])
+def test_flip_rows_are_built_once(monkeypatch, qubits, stored):
+    p = random_pauli_sum(np.random.default_rng(5), qubits, False)
+    spec = HamiltonianSpec(qubits=qubits, **{stored: p if stored == "pauli" else reconstruct(p)})
+    builder = "_flip_rows" if stored == "pauli" else "_matrix_flip_rows"
+    build, calls = getattr(pauli, builder), []
+    monkeypatch.setattr(pauli, builder, lambda q: calls.append(q) or build(q))
+    _forbid(monkeypatch, "reconstruct")
+    psi = np.full(2**qubits, 2 ** (-qubits / 2), dtype=complex)
     for _ in range(25):
         spec.expectation(psi)
         spec.apply(psi)
-    assert calls == [p]
+    assert len(calls) == 1 and calls[0] is getattr(spec, stored)
 
 
 @pytest.mark.parametrize("h", [

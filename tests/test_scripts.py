@@ -37,3 +37,17 @@ def test_scripts_write_their_files(tmp_path, monkeypatch):
         assert (chiral / name).stat().st_size > 0
     report = json.loads((chiral / "reference-report.json").read_text())
     assert report["casimir"] == report["dirac_sea_energy"] - report["subtraction"]
+
+
+def test_reproduce_tables_prints_every_family(capsys):
+    runpy.run_path(str(SCRIPTS / "reproduce_tables.py"), run_name="__main__")
+    blocks = capsys.readouterr().out.strip().split("\n\n")
+    assert len(blocks) == 5
+    for label, block in zip(("boson-periodic", "boson-twisted", "fermion-periodic",
+                             "fermion-twisted"), blocks):
+        header, columns, *rows = block.splitlines()
+        assert header == f"=== {label} ==="
+        assert columns.split() == ["n", "exact", "vqe", "pct", "diff"]
+        assert [int(row.split()[0]) for row in rows] == list(range(1, 9))
+        assert all(len(row.split()) == 4 for row in rows)
+    assert blocks[-1].startswith("total time: ") and blocks[-1].endswith("s")
