@@ -7,9 +7,10 @@ Pauli-sum.  ``expectation`` and ``apply`` compute on one form, made once on
 first use: a real diagonal (the stored one, or a Pauli sum's when it has I/Z
 strings only), or else the flip rows <r|H|r ^ x>, one per flip mask x that
 occurs, gathered from the stored matrix or summed from the Pauli strings, so
-a sparse operator costs O(flips * 2^n) per product.  Dense matrices are only
-materialized up to ``DENSE_QUBIT_CAP`` qubits; diagonal forms stretch to
-``RING_QUBIT_CAP``.
+a sparse operator costs O(flips * 2^n) per product.  ``ground_energy`` solves
+the blocks of the flip-row graph, so a number-conserving operator splits into
+its popcount sectors unasked.  Dense matrices are only materialized up to
+``DENSE_QUBIT_CAP`` qubits; diagonal forms stretch to ``RING_QUBIT_CAP``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from . import pauli as _pauli
 from .operators import DENSE_QUBIT_CAP, CapacityError, require_hermitian
@@ -131,7 +134,37 @@ class HamiltonianSpec:
         return _pauli._decompose(self.matrix)  # checked Hermitian on construction
 
     def ground_energy(self) -> float:
-        """Lowest eigenvalue: the minimum of a diagonal form, else ``eigvalsh``."""
-        if self.matrix is not None or isinstance(self._form, tuple):
-            return float(np.linalg.eigvalsh(self.as_matrix())[0])
-        return float(self._form.min())
+        """Lowest eigenvalue: the minimum of a diagonal form, else the minimum
+        over the blocks of the flip-row graph, whose nodes are the basis states
+        and whose edges are the nonzero entries <r|H|r ^ x>."""
+        if self.matrix is None and not isinstance(self._form, tuple):
+            return float(self._form.min())
+        lowest = self._block_minimum()
+        return float(np.linalg.eigvalsh(self.as_matrix())[0] if lowest is None else lowest)
+
+    def _block_minimum(self) -> Optional[float]:
+        """The minimum over the blocks, or None when the graph is connected and
+        is solved whole.  It is connected, with no graph built, when every
+        single-bit flip row <r|H|r ^ 2^q> has no zero entry; a stored matrix
+        reads those in place, and one above the dense cap is always whole."""
+        idx, singles = np.arange(self.dim), 1 << np.arange(self.qubits)
+        if self.matrix is not None and (
+                self.qubits > DENSE_QUBIT_CAP or self.matrix[idx, idx ^ singles[:, None]].all()):
+            return None
+        gather, rows = self._form
+        found = np.isin(gather[:, 0], singles)
+        if np.count_nonzero(found) == self.qubits and rows[found].all():
+            return None
+        k, r = np.nonzero(rows)
+        h = csr_array((rows[k, r], (r, gather[k, r])), shape=(self.dim, self.dim))
+        count, labels = connected_components(abs(h), directed=False)
+        if count == 1:
+            return None
+        order = np.argsort(labels, kind="stable")  # each block's states ascending
+        lowest = np.inf
+        for states in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
+            entries = h[states][:, states].tocoo()
+            block = np.zeros((states.size, states.size), dtype=complex)
+            block[entries.row, entries.col] = entries.data
+            lowest = min(lowest, np.linalg.eigvalsh(block)[0])
+        return lowest

@@ -231,12 +231,13 @@ def diagonal_part(p: PauliSum) -> np.ndarray:
 
 def _flip_rows(p: PauliSum):
     """``(flips, rows)`` with rows[k, r] = <r| sum |r ^ flips[k]>: the matrix
-    entries of each flip mask that occurs, summed in term order."""
-    actions = list(_string_actions(p))
-    flips = np.unique(np.array([flip[0] for _, flip, _ in actions], dtype=int))  # 0 ^ x
+    entries of each flip mask that occurs, summed in term order, one term's
+    action at a time."""
+    masks = [int(letters.translate(_X_BITS), 2) for _, letters in p.terms]
+    flips = np.unique(np.array(masks, dtype=int))
     rows = np.zeros((flips.size, 2**p.qubits), dtype=complex)
-    for coefficient, flip, f in actions:
-        rows[np.searchsorted(flips, flip[0])] += coefficient * f[flip]
+    for k, (coefficient, flip, f) in zip(np.searchsorted(flips, masks), _string_actions(p)):
+        rows[k] += coefficient * f[flip]
     return flips, rows
 
 

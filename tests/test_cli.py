@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 import scipy
 
+from ringcasimir.chiral import (
+    ChiralSystem,
+    dirac_sea_energy,
+    jordan_wigner_hamiltonian,
+    single_particle_matrix,
+)
 from ringcasimir.cli import main
+from ringcasimir.pauli import serialize
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +225,17 @@ def test_vqe_from_file(capsys, tmp_path):
     assert code == 0
     record = json.loads(out)
     assert record["vqe_energy"] == pytest.approx(2.309401, abs=1e-5)
+
+
+def test_exact_from_file_solves_the_twelve_qubit_chiral_sum(capsys, tmp_path):
+    t = single_particle_matrix(ChiralSystem(6, 10.0))
+    path = tmp_path / "chiral6.pauli"
+    path.write_text(serialize(jordan_wigner_hamiltonian(t).pauli))
+    code, out, _ = run_cli(capsys, "exact", "--from-file", str(path))
+    assert code == 0
+    fields = dict(line.split() for line in out.splitlines())
+    assert fields["qubits"] == "12"
+    assert abs(float(fields["ground_energy"]) - dirac_sea_energy(t)) <= 1e-9
 
 
 def test_import_parse_error_exit_code(capsys, tmp_path):

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from ringcasimir import pauli, vqe
-from ringcasimir.chiral import ChiralSystem, jordan_wigner_hamiltonian, single_particle_matrix
+from ringcasimir.chiral import (
+    ChiralSystem,
+    dirac_sea_energy,
+    jordan_wigner_hamiltonian,
+    single_particle_matrix,
+)
 from ringcasimir.hamiltonian import HamiltonianSpec
 from ringcasimir.lattice import ModeFamily, mode_hamiltonian, ring_hamiltonian
 from ringcasimir.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_chain
@@ -117,6 +123,66 @@ def test_sparse_pauli_spec_computes_on_flip_rows(qubits, seed):
         assert np.max(np.abs(spec.apply(psi) - h @ psi)) < 1e-12
     assert np.max(np.abs(spec.as_matrix() - h)) < 1e-12
     assert spec.ground_energy() == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
+
+
+def confined_pauli_sum(rng, qubits, flipped):
+    # X/Y letters only on the qubits in ``flipped``, so the flip-row graph
+    # has a component per setting of the other bits (or more)
+    strings = {"".join("X" if q in flipped else "I" for q in range(qubits))}
+    for _ in range(2 * qubits + 2):
+        strings.add("".join(rng.choice(list("IXYZ" if q in flipped else "IZ"))
+                            for q in range(qubits)))
+    return PauliSum(qubits, tuple((float(rng.normal()), s) for s in sorted(strings)))
+
+
+def _components(spec):
+    gather, rows = spec._form
+    k, r = np.nonzero(rows)
+    graph = np.zeros((spec.dim, spec.dim))
+    graph[r, gather[k, r]] = 1.0
+    return connected_components(graph, directed=False)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_number_conserving_ground_energy_matches_the_dense_oracle(modes, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
+    spec = jordan_wigner_hamiltonian((a + a.conj().T) / 2.0)
+    oracle = float(np.linalg.eigvalsh(spec.as_matrix())[0])
+    assert spec.ground_energy() == pytest.approx(oracle, abs=1e-12)
+    if modes > 1:
+        assert _components(spec) >= modes + 1  # one per particle number, at least
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1))
+def test_split_pauli_ground_energy_matches_the_dense_oracle(qubits, seed):
+    rng = np.random.default_rng(seed)
+    flipped = set(rng.choice(qubits, size=int(rng.integers(1, qubits)), replace=False).tolist())
+    p = confined_pauli_sum(rng, qubits, flipped)
+    h = reconstruct(p)
+    spec = HamiltonianSpec(qubits=qubits, pauli=p)
+    assert _components(spec) >= 2 ** (qubits - len(flipped))
+    assert spec.ground_energy() == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
+    assert spec.ground_energy() == HamiltonianSpec(qubits=qubits, matrix=h).ground_energy()
+
+
+def test_chiral_ground_energy_solves_no_block_above_one_sector(monkeypatch):
+    t = single_particle_matrix(ChiralSystem(6, 10.0))
+    spec, sea = jordan_wigner_hamiltonian(t), dirac_sea_energy(t)
+    solve, shapes = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
+    _forbid(monkeypatch, "reconstruct")
+    assert abs(spec.ground_energy() - sea) <= 1e-12
+    assert len(shapes) == 13 and max(shapes) == (924, 924)  # C(12, 6)
+
+
+def test_dense_stored_matrix_is_solved_whole_without_flip_rows(monkeypatch):
+    h = random_operator(np.random.default_rng(11), 10, False)
+    expected = np.linalg.eigvalsh(h)[0]
+    _forbid(monkeypatch, "_matrix_flip_rows")
+    assert HamiltonianSpec(qubits=10, matrix=h).ground_energy() == expected
 
 
 @pytest.mark.parametrize("qubits, stored", [(3, "pauli"), (9, "pauli"), (3, "matrix")])

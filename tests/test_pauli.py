@@ -10,6 +10,7 @@ from ringcasimir.lattice import ModeFamily, mode_hamiltonian, ring_hamiltonian
 from ringcasimir.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_chain
 from ringcasimir.pauli import (
     ALPHABET,
+    _flip_rows,
     PauliFormatError,
     PauliSum,
     decompose,
@@ -211,6 +212,24 @@ def test_every_string_matches_kron_oracle(qubits):
         assert is_diagonal(p) == (set(letters) <= {"I", "Z"})
         if is_diagonal(p):
             assert np.max(np.abs(diagonal_part(p) - 0.75 * np.diag(dense).real)) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_flip_rows_sum_the_terms_in_order(qubits, seed):
+    # reference: each string's dense entries <r|P|r ^ x>, added term by term
+    rng = np.random.default_rng(seed)
+    strings = {"".join(rng.choice(list(ALPHABET), size=qubits)) for _ in range(3 * qubits)}
+    p = PauliSum(qubits, tuple((float(rng.normal()), s) for s in sorted(strings)))
+    flips, rows = _flip_rows(p)
+    x_mask = {s: int(s.translate(str.maketrans("IXYZ", "0110")), 2) for s in strings}
+    assert np.array_equal(flips, np.unique(list(x_mask.values())))
+    idx = np.arange(2**qubits)
+    expected = np.zeros_like(rows)
+    for coefficient, letters in p.terms:
+        x = x_mask[letters]
+        expected[np.searchsorted(flips, x)] += coefficient * dense_string(letters)[idx, idx ^ x]
+    assert np.array_equal(rows, expected)
 
 
 def test_term_values_follow_term_order():
