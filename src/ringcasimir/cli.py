@@ -68,9 +68,10 @@ EXIT_NOT_CONVERGED = 3
 EXIT_CAPACITY = 4
 EXIT_PARSE = 5
 
-# Flags that only one selector reads; the other selectors refuse them.
-_SELECTOR_FLAGS = {"sweep": "family", "no_correction": "family",
-                   "subtraction": "chiral", "scale": "chiral", "eta": "chiral"}
+# Flags that only some selectors read; the other selectors refuse them.
+_SELECTOR_FLAGS = {"sweep": ("family",), "no_correction": ("family",),
+                   "subtraction": ("chiral",), "scale": ("chiral",), "eta": ("chiral",),
+                   "sites": ("family", "chiral")}
 
 
 def _json(obj) -> str:
@@ -147,8 +148,11 @@ def cmd_exact(args) -> int:
     full = args.full_precision
     if args.from_file:
         spec = _pauli_file_spec(args.from_file)
+        report = {"qubits": spec.qubits, "ground_energy": spec.ground_energy()}
         print(f"qubits {spec.qubits}")
-        print(f"ground_energy {spec.ground_energy()!r}")
+        print(f"ground_energy {report['ground_energy']!r}")
+        if args.json:
+            _write(args.json, _json(report) + "\n", "exact", vars(args))
         return EXIT_OK
     if args.chiral:
         system = _chiral_system(args)
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=list(FAMILY_LABELS))
     p.add_argument("--chiral", action="store_true")
     p.add_argument("--from-file", help="ground energy of a Pauli text file")
-    p.add_argument("--sites", type=int, default=1)
+    p.add_argument("--sites", type=int, default=None, help="lattice sites (default: 1)")
     p.add_argument("--eta", type=float, default=None, help="chiral deformation (default: 1)")
     p.add_argument("--scale", type=float, default=None,
                    help="chiral normalization (default: calibrated const/sites)")
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="range of sites, e.g. 1..8")
     p.add_argument("--no-correction", action="store_true",
                    help="print the raw mode sum without the subtraction constant")
-    p.add_argument("--json", help="also write rows as JSON")
+    p.add_argument("--json", help="also write the rows or report as JSON")
     p.add_argument("--full-precision", action="store_true")
     p.set_defaults(fn=cmd_exact, needs_selector=True)
 
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=list(FAMILY_LABELS))
     p.add_argument("--chiral", action="store_true")
     p.add_argument("--from-file", help="run on a Pauli text file")
-    p.add_argument("--sites", type=int, default=1)
+    p.add_argument("--sites", type=int, default=None, help="lattice sites (default: 1)")
     p.add_argument("--eta", type=float, default=None, help="chiral deformation (default: 1)")
     p.add_argument("--scale", type=float, default=None)
     _add_vqe_flags(p)
@@ -403,12 +407,16 @@ def main(argv=None) -> int:
         ]
         if sum(chosen) != 1:
             parser.error("choose exactly one of --family / --chiral / --from-file")
-        for dest, owner in _SELECTOR_FLAGS.items():
+        for dest, owners in _SELECTOR_FLAGS.items():
             value = getattr(args, dest, None)
-            if value is not None and value is not False and not getattr(args, owner):
-                parser.error(f"--{dest.replace('_', '-')} only applies with --{owner}")
+            given = value is not None and value is not False
+            if given and not any(getattr(args, o) for o in owners):
+                owned = " or ".join(f"--{o}" for o in owners)
+                parser.error(f"--{dest.replace('_', '-')} only applies with {owned}")
         if args.chiral and args.eta is None:
             args.eta = 1.0
+        if not args.from_file and args.sites is None:
+            args.sites = 1
     try:
         return args.fn(args)
     except PauliFormatError as exc:

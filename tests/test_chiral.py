@@ -252,7 +252,7 @@ def test_jw_matches_dense_operator_construction(n, seed):
             dense += t[j, k] * (ops[j].conj().T @ ops[k])
     spec = jordan_wigner_hamiltonian(t)
     assert np.max(np.abs(spec.as_matrix() - dense)) <= 1e-12
-    assert spec.matrix is None and spec.diagonal is None
+    assert spec.diagonal is None
     written = {s: c for c, s in spec.pauli.terms}
     oracle = {s: c for c, s in decompose(dense).terms}
     assert written.keys() == oracle.keys()

@@ -238,6 +238,19 @@ def test_exact_from_file_solves_the_twelve_qubit_chiral_sum(capsys, tmp_path):
     assert abs(float(fields["ground_energy"]) - dirac_sea_energy(t)) <= 1e-9
 
 
+def test_exact_from_file_writes_its_report_as_json(capsys, tmp_path):
+    path = tmp_path / "h.pauli"
+    path.write_text("qubits 2\n0.5 XX\n-0.25 ZI\n")
+    _, plain, _ = run_cli(capsys, "exact", "--from-file", str(path))
+    out_json = tmp_path / "h.json"
+    code, out, _ = run_cli(capsys, "exact", "--from-file", str(path), "--json", str(out_json))
+    assert code == 0 and out == plain
+    report = json.loads(out_json.read_text())
+    assert report == {"qubits": 2, "ground_energy": float(out.split()[-1])}
+    manifest = json.loads((tmp_path / "h.json.manifest.json").read_text())
+    assert manifest["command"] == "exact" and manifest["config"]["from_file"] == str(path)
+
+
 def test_import_parse_error_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.pauli"
     path.write_text("qubits 2\n1.0 XQ\n")
@@ -405,6 +418,8 @@ def test_non_finite_input_exit_codes(capsys, tmp_path):
     ["vqe", "--from-file", "h.pauli", "--scale", "0.5"],
     ["exact", "--family", "boson-periodic", "--sites", "2", "--eta", "10"],
     ["vqe", "--from-file", "f.pauli", "--eta", "7"],
+    ["exact", "--from-file", "h.pauli", "--sites", "9"],
+    ["vqe", "--from-file", "h.pauli", "--sites", "5"],
 ])
 def test_flags_the_selector_ignores_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from ringcasimir import pauli, vqe
+from ringcasimir import hamiltonian, pauli, vqe
 from ringcasimir.chiral import (
     ChiralSystem,
     dirac_sea_energy,
@@ -39,10 +39,7 @@ def random_operator(rng, qubits, diagonal):
 
 def every_representation(h, diagonal):
     qubits = h.shape[0].bit_length() - 1
-    specs = [
-        HamiltonianSpec(qubits=qubits, matrix=h),
-        HamiltonianSpec(qubits=qubits, pauli=decompose(h, 0.0)),
-    ]
+    specs = [HamiltonianSpec(qubits=qubits, pauli=decompose(h, 0.0))]
     if diagonal:
         specs.append(HamiltonianSpec(qubits=qubits, diagonal=np.diagonal(h).real))
     return specs
@@ -89,7 +86,7 @@ def random_pauli_sum(rng, qubits, diagonal):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
-def test_pauli_spec_computes_on_its_diagonal_or_dense_form(qubits, diagonal, seed):
+def test_pauli_spec_computes_on_its_diagonal_or_flip_rows(qubits, diagonal, seed):
     rng = np.random.default_rng(seed)
     p = random_pauli_sum(rng, qubits, diagonal)
     psi = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
@@ -97,11 +94,14 @@ def test_pauli_spec_computes_on_its_diagonal_or_dense_form(qubits, diagonal, see
     spec = HamiltonianSpec(qubits=qubits, pauli=p)
     if diagonal:
         same = HamiltonianSpec(qubits=qubits, diagonal=diagonal_part(p))
+        assert spec.expectation(psi) == same.expectation(psi)
+        assert np.array_equal(spec.apply(psi), same.apply(psi))
+        assert spec.ground_energy() == same.ground_energy()
     else:
-        same = HamiltonianSpec(qubits=qubits, matrix=reconstruct(p))
-    assert spec.expectation(psi) == same.expectation(psi)
-    assert np.array_equal(spec.apply(psi), same.apply(psi))
-    assert spec.ground_energy() == same.ground_energy()
+        h = reconstruct(p)
+        assert spec.expectation(psi) == pytest.approx(float(np.vdot(psi, h @ psi).real), abs=1e-12)
+        assert np.max(np.abs(spec.apply(psi) - h @ psi)) < 1e-12
+        assert spec.ground_energy() == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
 
 
 @settings(max_examples=8, deadline=None)
@@ -165,7 +165,6 @@ def test_split_pauli_ground_energy_matches_the_dense_oracle(qubits, seed):
     spec = HamiltonianSpec(qubits=qubits, pauli=p)
     assert _components(spec) >= 2 ** (qubits - len(flipped))
     assert spec.ground_energy() == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
-    assert spec.ground_energy() == HamiltonianSpec(qubits=qubits, matrix=h).ground_energy()
 
 
 def test_chiral_ground_energy_solves_no_block_above_one_sector(monkeypatch):
@@ -178,54 +177,39 @@ def test_chiral_ground_energy_solves_no_block_above_one_sector(monkeypatch):
     assert len(shapes) == 13 and max(shapes) == (924, 924)  # C(12, 6)
 
 
-def test_dense_stored_matrix_is_solved_whole_without_flip_rows(monkeypatch):
-    h = random_operator(np.random.default_rng(11), 10, False)
-    expected = np.linalg.eigvalsh(h)[0]
-    _forbid(monkeypatch, "_matrix_flip_rows")
-    assert HamiltonianSpec(qubits=10, matrix=h).ground_energy() == expected
+def test_dense_pauli_spec_is_solved_whole_without_a_graph(monkeypatch):
+    # every single-bit flip row of a random dense operator is nonzero, so the
+    # flip-row graph is connected; 7 qubits keep the 4^7-term sum quick
+    p = decompose(random_operator(np.random.default_rng(11), 7, False), 0.0)
+    expected = np.linalg.eigvalsh(reconstruct(p))[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("connected_components called")
+
+    monkeypatch.setattr(hamiltonian, "connected_components", refuse)
+    assert HamiltonianSpec(qubits=7, pauli=p).ground_energy() == expected
 
 
-@pytest.mark.parametrize("qubits, stored", [(3, "pauli"), (9, "pauli"), (3, "matrix")])
-def test_flip_rows_are_built_once(monkeypatch, qubits, stored):
+@pytest.mark.parametrize("qubits", [3, 9], ids=["3-pauli", "9-pauli"])
+def test_flip_rows_are_built_once(monkeypatch, qubits):
     p = random_pauli_sum(np.random.default_rng(5), qubits, False)
-    spec = HamiltonianSpec(qubits=qubits, **{stored: p if stored == "pauli" else reconstruct(p)})
-    builder = "_flip_rows" if stored == "pauli" else "_matrix_flip_rows"
-    build, calls = getattr(pauli, builder), []
-    monkeypatch.setattr(pauli, builder, lambda q: calls.append(q) or build(q))
+    spec = HamiltonianSpec(qubits=qubits, pauli=p)
+    build, calls = pauli._flip_rows, []
+    monkeypatch.setattr(pauli, "_flip_rows", lambda q: calls.append(q) or build(q))
     _forbid(monkeypatch, "reconstruct")
     psi = np.full(2**qubits, 2 ** (-qubits / 2), dtype=complex)
     for _ in range(25):
         spec.expectation(psi)
         spec.apply(psi)
-    assert len(calls) == 1 and calls[0] is getattr(spec, stored)
-
-
-@pytest.mark.parametrize("h", [
-    jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(2, 10.0))).as_matrix(),
-    random_operator(np.random.default_rng(3), 3, False),
-])
-def test_as_pauli_skips_the_second_hermitian_check(monkeypatch, h):
-    spec = HamiltonianSpec(qubits=h.shape[0].bit_length() - 1, matrix=h)
-    expected = decompose(h)
-    calls = []
-    original = pauli.require_hermitian
-    monkeypatch.setattr(pauli, "require_hermitian", lambda m: calls.append(m) or original(m))
-    assert spec.as_pauli() == expected
-    assert calls == []
-    decompose(h)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0] is spec.pauli
 
 
 def test_spec_holds_exactly_one_representation():
     d = np.array([1.0, -1.0])
-    forms = {"matrix": np.diag(d), "diagonal": d, "pauli": decompose_diagonal(d)}
-    with pytest.raises(ValueError, match="exactly one"):
-        HamiltonianSpec(qubits=1)
-    for a in forms:
-        for b in forms:
-            if a < b:
-                with pytest.raises(ValueError, match="exactly one"):
-                    HamiltonianSpec(qubits=1, **{a: forms[a], b: forms[b]})
+    forms = {"diagonal": d, "pauli": decompose_diagonal(d)}
+    for given in ({}, forms):
+        with pytest.raises(ValueError, match="exactly one"):
+            HamiltonianSpec(qubits=1, **given)
     for name, value in forms.items():
         assert HamiltonianSpec(qubits=1, **{name: value}).ground_energy() == pytest.approx(-1.0)
 
@@ -238,15 +222,7 @@ def test_builders_store_one_representation():
         jordan_wigner_hamiltonian(t),
     ]
     for spec in specs:
-        stored = [r for r in (spec.matrix, spec.diagonal, spec.pauli) if r is not None]
-        assert len(stored) == 1
-
-
-def test_non_finite_matrix_rejected():
-    with pytest.raises(ValueError, match="non-finite"):
-        HamiltonianSpec(qubits=1, matrix=[[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="non-finite"):
-        HamiltonianSpec(qubits=1, matrix=[[1.0, np.inf], [np.inf, 1.0]])
+        assert (spec.diagonal is None) != (spec.pauli is None)
 
 
 def test_non_finite_diagonal_rejected():

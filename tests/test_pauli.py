@@ -75,6 +75,9 @@ def test_decompose_errors():
         decompose(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [-np.inf, 1.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose(np.array(bad))
     for bad in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [1.0, 2.0, -np.inf, 0.0]):
         with pytest.raises(ValueError, match="non-finite"):
             decompose_diagonal(np.array(bad))

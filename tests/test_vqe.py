@@ -167,7 +167,7 @@ def test_minimize_with_gradient():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2), st.sampled_from(ANSATZE),
-       st.sampled_from(["matrix", "diagonal", "pauli"]), st.integers(0, 2**32 - 1))
+       st.sampled_from(["diagonal", "pauli"]), st.integers(0, 2**32 - 1))
 def test_adjoint_gradient_matches_central_differences(qubits, depth, ansatz, form, seed):
     from ringcasimir.vqe import _energy_and_gradient
 
@@ -176,7 +176,6 @@ def test_adjoint_gradient_matches_central_differences(qubits, depth, ansatz, for
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = np.diag(rng.normal(size=dim)) if form == "diagonal" else (a + a.conj().T) / 2.0
     spec = {
-        "matrix": lambda: HamiltonianSpec(qubits=qubits, matrix=h),
         "diagonal": lambda: HamiltonianSpec(qubits=qubits, diagonal=np.diagonal(h).real),
         "pauli": lambda: HamiltonianSpec(qubits=qubits, pauli=decompose(h, 0.0)),
     }[form]()
