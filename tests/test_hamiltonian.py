@@ -225,6 +225,15 @@ def test_builders_store_one_representation():
         assert (spec.diagonal is None) != (spec.pauli is None)
 
 
+def test_non_finite_matrix_rejected():
+    """A matrix enters a spec only through ``decompose``, which refuses
+    non-finite entries before any spec is built."""
+    with pytest.raises(ValueError, match="non-finite"):
+        HamiltonianSpec(qubits=1, pauli=decompose(np.array([[np.nan, 0.0], [0.0, 1.0]])))
+    with pytest.raises(ValueError, match="non-finite"):
+        HamiltonianSpec(qubits=1, pauli=decompose(np.array([[1.0, np.inf], [np.inf, 1.0]])))
+
+
 def test_non_finite_diagonal_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         HamiltonianSpec(qubits=1, diagonal=[np.nan, 1.0])
