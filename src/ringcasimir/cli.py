@@ -71,7 +71,7 @@ EXIT_PARSE = 5
 # Flags that only some selectors read; the other selectors refuse them.
 _SELECTOR_FLAGS = {"sweep": ("family",), "no_correction": ("family",),
                    "subtraction": ("chiral",), "scale": ("chiral",), "eta": ("chiral",),
-                   "sites": ("family", "chiral")}
+                   "sites": ("family", "chiral"), "full_precision": ("family", "chiral")}
 
 
 def _json(obj) -> str:

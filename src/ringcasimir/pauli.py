@@ -252,17 +252,19 @@ def term_values(p: PauliSum, state: np.ndarray) -> np.ndarray:
 
     The state must have dimension 2^qubits and unit norm within 1e-8.
     """
+    return _action_values(_string_actions(p), state, p.qubits)
+
+
+def _action_values(actions, state: np.ndarray, qubits: int) -> np.ndarray:
+    """:func:`term_values` from the ``_string_actions`` of a sum, which a
+    caller may build once and pass again."""
     state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.shape[0] != 2**p.qubits:
-        raise ValueError(
-            f"state dimension {state.shape[0]} != 2^{p.qubits}"
-        )
+    if state.shape[0] != 2**qubits:
+        raise ValueError(f"state dimension {state.shape[0]} != 2^{qubits}")
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-    return np.array(
-        [np.vdot(state[flip], f * state).real for _, flip, f in _string_actions(p)]
-    )
+    return np.array([np.vdot(state[flip], f * state).real for _, flip, f in actions])
 
 
 def expectation(p: PauliSum, state: np.ndarray) -> float:

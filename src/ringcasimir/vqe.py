@@ -11,9 +11,10 @@ single-particle matrix).  Either family is one gate list that
 Classical optimization is delegated to scipy.optimize: "linear" maps to
 COBYLA (derivative-free linear trust-region) and "quadratic" to SLSQP
 (quadratic model and line search; exact gradients from one adjoint walk
-of the gate list, finite differences with shots).  Every objective
-evaluation is recorded; the reported energy and parameters are the best
-evaluation seen, and the trace is the non-increasing best-so-far record.
+back over the gate list by blocks of commuting rotations, finite
+differences with shots).  Every objective evaluation is recorded; the
+reported energy and parameters are the best evaluation seen, and the trace
+is the non-increasing best-so-far record.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,7 +41,7 @@ from .lattice import (
     subtraction_constant,
 )
 from .operators import bit_parity
-from .pauli import PauliSum, term_values
+from .pauli import PauliSum, _action_values, _string_actions
 
 __all__ = [
     "ANSATZE",
@@ -186,9 +188,9 @@ def ansatz_state(parameters: np.ndarray, qubits: int, depth: int,
 
 def _rotate(state: np.ndarray, gate: str, q: int, angle: float) -> None:
     """Apply exp(-i angle P / 2) to qubit ``q`` of ``state`` in place, with
-    P = Y for "ry" and Z for "rz"; ``-angle`` undoes it."""
+    P = Y for "ry" and Z for "rz"; ``-angle`` undoes it; a (k, 2^n) stack turns as one."""
     angle = float(angle)
-    view = state.reshape(2**q, 2, -1)
+    view = state.reshape(-1, 2, state.shape[-1] >> (q + 1))
     if gate == "ry":
         c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
         a = view[:, 0, :].copy()
@@ -203,30 +205,48 @@ def _rotate(state: np.ndarray, gate: str, q: int, angle: float) -> None:
 ansatz_state_phased = partial(ansatz_state, ansatz="ry-rz")
 
 
+@lru_cache(maxsize=None)
+def _rotation_blocks(qubits: int, depth: int, ansatz: str) -> tuple:
+    """``_gates`` as blocks ``(gate, qubits, parameter slice)``: each run of
+    rotations of one kind is one block, and each CZ chain a block of its own."""
+    blocks, k = [], 0
+    for gate, run in groupby(_gates(qubits, depth, ansatz)[0], key=lambda g: g[0]):
+        qs = [q for _, q in run] if gate != "cz" else []
+        blocks.append((gate, qs, slice(k, k + len(qs))))
+        k += len(qs)
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def _bit_tables(qubits: int) -> tuple:
+    """``(z, flips)`` with z[q, r] = +1 or -1 for bit q of r clear or set and
+    flips[q, r] = r ^ m_q, m_q = 2^(n-1-q): qubit 0 is the most significant bit."""
+    idx, masks = np.arange(2**qubits), 1 << np.arange(qubits - 1, -1, -1)[:, None]
+    return np.where(idx & masks, -1.0, 1.0), idx ^ masks
+
+
 def _energy_and_gradient(h: HamiltonianSpec, parameters, qubits: int, depth: int, ansatz: str):
     """<psi|H|psi> and its gradient by the adjoint method (Jones & Gacon,
-    arXiv:2009.02823): from lam = H|psi> and phi = |psi>, walk the gates in
-    reverse; rotation k gives Im <lam|P|phi>, then is undone on both."""
-    gates, count = _gates(qubits, depth, ansatz)
+    arXiv:2009.02823), walked back over the stack of lam = H|psi> and
+    phi = |psi> one rotation block at a time.  A block's rotations commute
+    with each other and with each of its generators P_q, so all of its
+    gradients Im <lam|P_q|phi> are read at its end; an RZ block is then
+    undone with one phase vector, an RY block qubit by qubit."""
     phi = ansatz_state(parameters, qubits, depth, ansatz)
     energy = h.expectation(phi)
-    lam = h.apply(phi)
-    gradient = np.empty(count)
-    k = count
-    for gate, q in reversed(gates):
+    lam, phi = pair = np.stack([h.apply(phi), phi])  # views into the one stack
+    z, flips = _bit_tables(qubits)
+    gradient = np.empty(len(parameters))
+    for gate, qs, k in reversed(_rotation_blocks(qubits, depth, ansatz)):
         if gate == "cz":
-            phi *= _cz_chain_signs(qubits)
-            lam *= _cz_chain_signs(qubits)
-            continue
-        k -= 1
-        lv, pv = lam.reshape(2**q, 2, -1), phi.reshape(2**q, 2, -1)
-        if gate == "ry":  # Y = [[0, -i], [i, 0]]
-            overlap = 1j * (np.vdot(lv[:, 1], pv[:, 0]) - np.vdot(lv[:, 0], pv[:, 1]))
-        else:  # Z = diag(1, -1)
-            overlap = np.vdot(lv[:, 0], pv[:, 0]) - np.vdot(lv[:, 1], pv[:, 1])
-        gradient[k] = overlap.imag
-        _rotate(phi, gate, q, -parameters[k])
-        _rotate(lam, gate, q, -parameters[k])
+            pair *= _cz_chain_signs(qubits)
+        elif gate == "rz":  # <lam|Z_q|phi> = sum_r conj(lam_r) z[q, r] phi_r
+            gradient[k] = (z[qs] @ (lam.conj() * phi)).imag
+            pair *= np.exp(0.5j * (parameters[k] @ z[qs]))
+        else:  # <lam|Y_q|phi> = -i sum_r conj(lam_r) z[q, r] phi[r ^ m_q]
+            gradient[k] = -((z[qs] * phi[flips[qs]]) @ lam.conj()).real
+            for q, angle in zip(qs, parameters[k]):
+                _rotate(pair, "ry", q, -angle)
     return energy, gradient
 
 
@@ -278,11 +298,13 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig, jac: bool = Fa
     )
 
 
-def _sampled_expectation(p: PauliSum, state: np.ndarray, shots: int, rng) -> float:
+def _sampled_expectation(p: PauliSum, state: np.ndarray, shots: int, rng, actions=None) -> float:
     """Finite-shot estimate: each non-identity term is measured ``shots``
-    times as an independent +-1 binomial around its exact value."""
+    times as an independent +-1 binomial around its exact value.  A run
+    passes ``actions = list(_string_actions(p))``, built once."""
     total = 0.0
-    for (coefficient, letters), mean in zip(p.terms, term_values(p, state)):
+    values = _action_values(actions or _string_actions(p), state, p.qubits)
+    for (coefficient, letters), mean in zip(p.terms, values):
         if set(letters) == {"I"}:
             total += coefficient
             continue
@@ -307,6 +329,7 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
             "use per-mode partitioned runs"
         )
     psum = h.as_pauli() if cfg.shots else None
+    actions = list(_string_actions(psum)) if cfg.shots else None
     rng = np.random.default_rng(cfg.seed)
     x0 = rng.uniform(-cfg.init_spread, cfg.init_spread, n_parameters(h.qubits, cfg.depth, cfg.ansatz))
     shot_rng = np.random.default_rng(cfg.seed + 0x5EED) if cfg.shots else None
@@ -318,7 +341,7 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
             return _energy_and_gradient(h, params, h.qubits, cfg.depth, cfg.ansatz)
         state = ansatz_state(params, h.qubits, cfg.depth, cfg.ansatz)
         if cfg.shots:
-            return _sampled_expectation(psum, state, cfg.shots, shot_rng)
+            return _sampled_expectation(psum, state, cfg.shots, shot_rng, actions)
         return h.expectation(state)
 
     return minimize(objective, x0, cfg, jac=adjoint)

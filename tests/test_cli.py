@@ -379,6 +379,9 @@ def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["vqe", "--family", "boson-periodic", "--chiral"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--from-file", str(tmp_path / "h.pauli"), "--full-precision"])
+    assert exc.value.code == 2
     code, out, err = run_cli(capsys, "dispersion", "--sites", "3", "--dense", "-4")
     assert code == 2
     assert out == "" and err.splitlines()[-1].startswith("error: --dense")

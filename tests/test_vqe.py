@@ -21,6 +21,7 @@ from ringcasimir.lattice import (
     subtraction_constant,
 )
 from ringcasimir.operators import PAULI_I, PAULI_Y, kron_chain
+from ringcasimir import vqe
 from ringcasimir.pauli import PauliSum, decompose, decompose_diagonal, expectation
 from ringcasimir.vqe import (
     ANSATZE,
@@ -190,6 +191,66 @@ def test_adjoint_gradient_matches_central_differences(qubits, depth, ansatz, for
     central = [(energy(params + step * e) - energy(params - step * e)) / (2 * step)
                for e in np.eye(params.size)]
     assert np.max(np.abs(gradient - central)) < 1e-6
+
+
+def per_gate_adjoint_oracle(h, parameters, qubits, depth, ansatz):
+    """The adjoint gradient one gate at a time: walk the gate list in
+    reverse; rotation k gives Im <lam|P|phi> from two inner products, then
+    is undone on lam and on phi separately."""
+    gates, count = vqe._gates(qubits, depth, ansatz)
+    phi = ansatz_state(parameters, qubits, depth, ansatz)
+    lam = h.apply(phi)
+    gradient = np.empty(count)
+    k = count
+    for gate, q in reversed(gates):
+        if gate == "cz":
+            phi *= vqe._cz_chain_signs(qubits)
+            lam *= vqe._cz_chain_signs(qubits)
+            continue
+        k -= 1
+        lv, pv = lam.reshape(2**q, 2, -1), phi.reshape(2**q, 2, -1)
+        if gate == "ry":  # Y = [[0, -i], [i, 0]]
+            overlap = 1j * (np.vdot(lv[:, 1], pv[:, 0]) - np.vdot(lv[:, 0], pv[:, 1]))
+        else:  # Z = diag(1, -1)
+            overlap = np.vdot(lv[:, 0], pv[:, 0]) - np.vdot(lv[:, 1], pv[:, 1])
+        gradient[k] = overlap.imag
+        vqe._rotate(phi, gate, q, -parameters[k])
+        vqe._rotate(lam, gate, q, -parameters[k])
+    return gradient
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3), st.sampled_from(ANSATZE),
+       st.sampled_from(["diagonal", "pauli"]), st.integers(0, 2**32 - 1))
+def test_block_gradient_matches_per_gate_oracle(qubits, depth, ansatz, form, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2**qubits
+    if form == "diagonal":
+        spec = HamiltonianSpec(qubits=qubits, diagonal=rng.normal(size=dim))
+    else:
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        spec = HamiltonianSpec(qubits=qubits, pauli=decompose((a + a.conj().T) / 2.0, 0.0))
+    params = rng.uniform(-np.pi, np.pi, n_parameters(qubits, depth, ansatz))
+    _, gradient = vqe._energy_and_gradient(spec, params, qubits, depth, ansatz)
+    oracle = per_gate_adjoint_oracle(spec, params, qubits, depth, ansatz)
+    assert np.max(np.abs(gradient - oracle)) < 1e-12
+
+
+def test_block_gradient_rotation_count(monkeypatch):
+    # 48 forward rotations, then 24 backward: the four RY blocks one qubit
+    # at a time, the four RZ blocks as one phase vector each.
+    calls = []
+    rotate = vqe._rotate
+
+    def counting(*args):
+        calls.append(args[1])
+        rotate(*args)
+
+    monkeypatch.setattr(vqe, "_rotate", counting)
+    spec = jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(3, 10.0)))
+    params = np.random.default_rng(0).uniform(-np.pi, np.pi, n_parameters(6, 3, "ry-rz"))
+    vqe._energy_and_gradient(spec, params, 6, 3, "ry-rz")
+    assert len(calls) == 72
 
 
 def test_exact_quadratic_run_takes_the_adjoint_gradient():
