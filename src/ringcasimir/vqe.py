@@ -5,8 +5,15 @@ interleaved with a fixed linear-chain controlled-Z entangler.  The default
 "ry" family produces real amplitudes, which is all the diagonal ring
 Hamiltonians need; the "ry-rz" family adds a phase rotation per qubit and
 layer for Hamiltonians with genuinely complex ground states (the chiral
-single-particle matrix).  Either family is one gate list that
-:func:`ansatz_state` walks.
+single-particle matrix).  Either family is one gate list, cut into blocks
+of same-kind rotations that :func:`ansatz_state` walks forward and the
+adjoint gradient walks back, both through the one rotation kernel
+``_rotate``.  The kernel's three-operation RY and the product-state first
+layer give the amplitudes of the plain gate-by-gate circuit bit for bit,
+by IEEE rules rather than by how numpy orders its loops: x - y is
+x + (-y), sums and products of two terms commute, and a complex number
+times a real one (zero imaginary part) rounds as the real product, with or
+without a fused multiply-add.  Only the sign of an exact zero can differ.
 
 Classical optimization is delegated to scipy.optimize: "linear" maps to
 COBYLA (derivative-free linear trust-region) and "quadratic" to SLSQP
@@ -167,36 +174,50 @@ def ansatz_state(parameters: np.ndarray, qubits: int, depth: int,
     "ry" gives real amplitudes; "ry-rz" follows each RY layer with an RZ
     layer and reaches complex ones.  Takes one parameter per rotation,
     ``n_parameters(qubits, depth, ansatz)`` in all; all zero gives |0...0>.
+    The first RY layer meets only exact zeros in partner amplitudes, so it
+    is the product state whose amplitude r multiplies, qubit 0 first,
+    cos(theta_q / 2) or sin(theta_q / 2) as bit q of r is clear or set:
+    the same products, in the same order, as rotating gate by gate.
     """
-    gates, count = _gates(qubits, depth, ansatz)
+    blocks, count = _rotation_blocks(qubits, depth, ansatz), _gates(qubits, depth, ansatz)[1]
     parameters = np.asarray(parameters, dtype=float).reshape(-1)
     if parameters.shape[0] != count:
         raise ValueError(
             f"expected {count} parameters for {qubits} qubits at depth {depth}, "
             f"got {parameters.shape[0]}"
         )
-    state = np.zeros(2**qubits, dtype=complex)
-    state[0] = 1.0
-    angles = iter(parameters)
-    for gate, q in gates:
+    angles = parameters.tolist()
+    halves = [angle / 2.0 for angle in angles[:qubits]]
+    cos, sin = [[math.cos(h)] for h in halves], [[math.sin(h)] for h in halves]
+    state = np.multiply.reduce(np.where(_bit_tables(qubits)[0] > 0, cos, sin), axis=0)
+    state = state.astype(complex)
+    for gate, qs, k in blocks:
         if gate == "cz":
             state *= _cz_chain_signs(qubits)
-        else:
-            _rotate(state, gate, q, next(angles))
+            continue
+        first = max(k.start, qubits)  # rotations before it are the product state
+        for q, angle in zip(qs[first - k.start:], angles[first:k.stop]):
+            _rotate(state, gate, q, angle)
     return state
 
 
 def _rotate(state: np.ndarray, gate: str, q: int, angle: float) -> None:
     """Apply exp(-i angle P / 2) to qubit ``q`` of ``state`` in place, with
-    P = Y for "ry" and Z for "rz"; ``-angle`` undoes it; a (k, 2^n) stack turns as one."""
+    P = Y for "ry" and Z for "rz"; ``-angle`` undoes it; a (k, 2^n) stack turns as one.
+
+    RY turns the pair (a, b) into (c a - s b, c b + s a) in three numpy
+    operations: scale by c, then add the swapped pair times (-s, s).  By
+    IEEE rules that is bit for bit what (c a - s b, s a + c b) gives: x - y
+    is x + (-y), addition commutes, and a real factor has a zero imaginary
+    part, so each complex product rounds as the real one, FMA or not.
+    """
     angle = float(angle)
     view = state.reshape(-1, 2, state.shape[-1] >> (q + 1))
     if gate == "ry":
         c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :].copy()
-        view[:, 0, :] = c * a - s * b
-        view[:, 1, :] = s * a + c * b
+        turned = view[:, ::-1] * np.array([[-s], [s]])
+        view *= c
+        view += turned
     else:
         view[:, 0, :] *= cmath.exp(-0.5j * angle)
         view[:, 1, :] *= cmath.exp(0.5j * angle)
@@ -241,10 +262,13 @@ def _energy_and_gradient(h: HamiltonianSpec, parameters, qubits: int, depth: int
         if gate == "cz":
             pair *= _cz_chain_signs(qubits)
         elif gate == "rz":  # <lam|Z_q|phi> = sum_r conj(lam_r) z[q, r] phi_r
-            gradient[k] = (z[qs] @ (lam.conj() * phi)).imag
-            pair *= np.exp(0.5j * (parameters[k] @ z[qs]))
+            gradient[k] = (z @ (lam.conj() * phi)).imag
+            pair *= np.exp(0.5j * (parameters[k] @ z))
         else:  # <lam|Y_q|phi> = -i sum_r conj(lam_r) z[q, r] phi[r ^ m_q]
-            gradient[k] = -((z[qs] * phi[flips[qs]]) @ lam.conj()).real
+            # A block holds each qubit once, in order, except that at 1 qubit
+            # the RY layers merge into one block: one row per rotation there.
+            rows = slice(None) if len(qs) == qubits else qs
+            gradient[k] = -((z[rows] * phi[flips[rows]]) @ lam.conj()).real
             for q, angle in zip(qs, parameters[k]):
                 _rotate(pair, "ry", q, -angle)
     return energy, gradient

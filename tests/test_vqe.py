@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -121,6 +122,55 @@ def test_ansatz_real_amplitudes():
     assert np.max(np.abs(state.imag)) < 1e-12
 
 
+def per_gate_ansatz_oracle(parameters, qubits, depth, ansatz):
+    """The ansatz one gate at a time from |0...0>: each RY copies the pair
+    (a, b) and writes (c a - s b, s a + c b), each RZ scales the pair by two
+    phases, each CZ chain multiplies by its signs."""
+    gates, _ = vqe._gates(qubits, depth, ansatz)
+    state = np.zeros(2**qubits, dtype=complex)
+    state[0] = 1.0
+    angles = iter(np.asarray(parameters, dtype=float))
+    for gate, q in gates:
+        if gate == "cz":
+            state *= vqe._cz_chain_signs(qubits)
+            continue
+        angle = float(next(angles))
+        view = state.reshape(-1, 2, 2**qubits >> (q + 1))
+        if gate == "ry":
+            c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+            a = view[:, 0, :].copy()
+            b = view[:, 1, :].copy()
+            view[:, 0, :] = c * a - s * b
+            view[:, 1, :] = s * a + c * b
+        else:
+            view[:, 0, :] *= cmath.exp(-0.5j * angle)
+            view[:, 1, :] *= cmath.exp(0.5j * angle)
+    return state
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 3), st.sampled_from(ANSATZE), st.data())
+def test_ansatz_state_matches_per_gate_oracle_bit_for_bit(qubits, depth, ansatz, data):
+    # The product-state first layer and the three-operation RY round as the
+    # per-gate circuit does, so the amplitudes are equal, not merely close.
+    angle = st.floats(-4 * math.pi, 4 * math.pi, exclude_min=True, exclude_max=True)
+    params = np.array(data.draw(st.lists(angle, min_size=n_parameters(qubits, depth, ansatz),
+                                         max_size=n_parameters(qubits, depth, ansatz))))
+    state = ansatz_state(params, qubits, depth, ansatz)
+    assert np.array_equal(state, per_gate_ansatz_oracle(params, qubits, depth, ansatz))
+
+
+@pytest.mark.parametrize("ansatz", ANSATZE)
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_one_qubit_ansatz_matches_per_gate_oracle(depth, ansatz):
+    # At 1 qubit there is no CZ chain, so the "ry" layers form one block and
+    # only its first angle belongs to the product state.
+    params = np.random.default_rng(depth).uniform(-4 * math.pi, 4 * math.pi,
+                                                  n_parameters(1, depth, ansatz))
+    state = ansatz_state(params, 1, depth, ansatz)
+    assert np.array_equal(state, per_gate_ansatz_oracle(params, 1, depth, ansatz))
+
+
 def test_minimize_quadratic_bowl_both_optimizers():
     for optimizer in Optimizer:
         cfg = VqeConfig(optimizer=optimizer, max_iterations=500, tolerance=1e-10)
@@ -237,8 +287,9 @@ def test_block_gradient_matches_per_gate_oracle(qubits, depth, ansatz, form, see
 
 
 def test_block_gradient_rotation_count(monkeypatch):
-    # 48 forward rotations, then 24 backward: the four RY blocks one qubit
-    # at a time, the four RZ blocks as one phase vector each.
+    # 42 forward rotations (the first RY layer is a product state; 18 RY and
+    # 24 RZ follow), then 24 backward: the four RY blocks one qubit at a
+    # time, the four RZ blocks as one phase vector each.
     calls = []
     rotate = vqe._rotate
 
@@ -250,7 +301,7 @@ def test_block_gradient_rotation_count(monkeypatch):
     spec = jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(3, 10.0)))
     params = np.random.default_rng(0).uniform(-np.pi, np.pi, n_parameters(6, 3, "ry-rz"))
     vqe._energy_and_gradient(spec, params, 6, 3, "ry-rz")
-    assert len(calls) == 72
+    assert len(calls) == 66
 
 
 def test_exact_quadratic_run_takes_the_adjoint_gradient():
