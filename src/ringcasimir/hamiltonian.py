@@ -106,9 +106,11 @@ class HamiltonianSpec:
     def as_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix, materialized below the cap."""
         _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
-        if self.diagonal is None and not _pauli.is_diagonal(self.pauli):
-            return _pauli.reconstruct(self.pauli)
-        return np.diag(self._form.astype(complex))
+        form = self._form
+        if isinstance(form, tuple):
+            gather, rows = form
+            return _pauli._scatter(gather[:, 0], rows)  # gather[k, 0] = flips[k]
+        return np.diag(form.astype(complex))
 
     def as_pauli(self):
         """The :class:`ringcasimir.pauli.PauliSum` form, decomposed on demand."""

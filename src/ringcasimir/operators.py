@@ -56,8 +56,9 @@ BOSON_LOWER4 = np.array(
 # Single-mode fermionic lowering operator (occupation basis |0>, |1>).
 FERMION_LOWER2 = np.array([[0, 1], [0, 0]], dtype=complex)
 
-# No dense 2^n x 2^n operator (matrix, Kronecker chain, Pauli decomposition,
-# Jordan-Wigner Hamiltonian) is built above this many qubits.
+# No dense 2^n x 2^n operator (matrix, Kronecker chain, Pauli decomposition)
+# and no flip-row form of a Pauli sum (the rows <r|H|r ^ x> of each flip mask
+# x, one 2^n vector per mask) is built above this many qubits.
 DENSE_QUBIT_CAP = 12
 
 HERMITICITY_TOL = 1e-10
@@ -127,8 +128,11 @@ def fermion_lower(mode: int, n_modes: int) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entry-wise deviation of ``m`` from its conjugate transpose."""
+    """Largest entry-wise deviation of ``m`` from its conjugate transpose;
+    anything but a square 2-D array is a ``ValueError``."""
     m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix is not square 2-D: shape {m.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported as such
         return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 

@@ -225,14 +225,17 @@ def _flip_rows(p: PauliSum):
     return flips, rows
 
 
-def reconstruct(p: PauliSum) -> np.ndarray:
-    """Dense matrix sum(c_P P); inverse of :func:`decompose` at drop_tol 0."""
-    dim = 2**p.qubits
-    idx = np.arange(dim)
-    flips, rows = _flip_rows(p)
-    out = np.zeros((dim, dim), dtype=complex)
+def _scatter(flips: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The dense matrix of the flip rows: <r|H|r ^ flips[k]> = rows[k, r]."""
+    idx = np.arange(rows.shape[1])
+    out = np.zeros((idx.size, idx.size), dtype=complex)
     out[idx, idx ^ flips[:, None]] = rows
     return out
+
+
+def reconstruct(p: PauliSum) -> np.ndarray:
+    """Dense matrix sum(c_P P); inverse of :func:`decompose` at drop_tol 0."""
+    return _scatter(*_flip_rows(p))
 
 
 def term_count(label: str, N: int) -> int:

@@ -5,23 +5,23 @@ interleaved with a fixed linear-chain controlled-Z entangler.  The default
 "ry" family produces real amplitudes, which is all the diagonal ring
 Hamiltonians need; the "ry-rz" family adds a phase rotation per qubit and
 layer for Hamiltonians with genuinely complex ground states (the chiral
-single-particle matrix).  Either family is one gate list, cut into blocks
-of same-kind rotations that :func:`ansatz_state` walks forward and the
-adjoint gradient walks back, both through the one rotation kernel
-``_rotate``.  The kernel's three-operation RY and the product-state first
-layer give the amplitudes of the plain gate-by-gate circuit bit for bit,
-by IEEE rules rather than by how numpy orders its loops: x - y is
-x + (-y), sums and products of two terms commute, and a complex number
-times a real one (zero imaginary part) rounds as the real product, with or
-without a fused multiply-add.  Only the sign of an exact zero can differ.
+single-particle matrix).  Either family is one list of commuting blocks,
+built per layer, that :func:`ansatz_state` walks forward and the adjoint
+gradient walks back, both through the one rotation kernel ``_rotate``.
+The kernel's three-operation RY and the product-state first block give
+the amplitudes of the plain gate-by-gate circuit bit for bit, by IEEE
+rules rather than by how numpy orders its loops: x - y is x + (-y), sums
+and products of two terms commute, and a complex number times a real one
+(zero imaginary part) rounds as the real product, with or without a fused
+multiply-add.  Only the sign of an exact zero can differ.
 
 Classical optimization is delegated to scipy.optimize: "linear" maps to
 COBYLA (derivative-free linear trust-region) and "quadratic" to SLSQP
 (quadratic model and line search; exact gradients from one adjoint walk
-back over the gate list by blocks of commuting rotations, finite
-differences with shots).  Every objective evaluation is recorded; the
-reported energy and parameters are the best evaluation seen, and the trace
-is the non-increasing best-so-far record.
+back over the block list, finite differences with shots).  Every
+objective evaluation is recorded; the reported energy and parameters are
+the best evaluation seen, and the trace is the non-increasing best-so-far
+record.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -135,28 +134,33 @@ class _BudgetSpent(Exception):
 
 
 @lru_cache(maxsize=None)
-def _gates(qubits: int, depth: int, ansatz: str) -> tuple:
-    """The ansatz as ``(gate, qubit)`` pairs in application order, with its
-    rotation count.
+def _blocks(qubits: int, depth: int, ansatz: str) -> tuple:
+    """The ansatz as blocks ``(gate, parameter slice)`` in application order.
 
-    Each of the ``depth + 1`` layers is RY on every qubit, then (for
-    "ry-rz") RZ on every qubit; a CZ chain (qubit ``None``) precedes every
-    layer but the first.  The k-th rotation in the list takes parameter k.
+    Each of the ``depth + 1`` layers is an RY block on every qubit, then
+    (for "ry-rz") an RZ block on every qubit; a CZ-chain block (empty slice)
+    precedes every layer but the first at 2 or more qubits.  A rotation
+    block turns qubits 0, 1, ... in order, and its i-th rotation takes
+    parameter ``slice.start + i``.  The adjoint gradient relies on one
+    invariant: a block's rotations commute with each other and with each of
+    its generators, so all of its gradients can be read at its end.
     """
     if ansatz not in ANSATZE:
         raise ValueError(f"unknown ansatz {ansatz!r}; use one of {ANSATZE}")
     if qubits < 1 or depth < 0:
         raise ValueError(f"need qubits >= 1 and depth >= 0, got {qubits} and {depth}")
-    layer = [("ry", q) for q in range(qubits)]
-    if ansatz == "ry-rz":
-        layer += [("rz", q) for q in range(qubits)]
-    entangler = [("cz", None)] if qubits > 1 else []
-    gates = tuple(layer + (entangler + layer) * depth)
-    return gates, sum(gate != "cz" for gate, _ in gates)
+    blocks, k = [], 0
+    for layer in range(depth + 1):
+        if layer and qubits > 1:
+            blocks.append(("cz", slice(k, k)))
+        for gate in ("ry",) if ansatz == "ry" else ("ry", "rz"):
+            blocks.append((gate, slice(k, k + qubits)))
+            k += qubits
+    return tuple(blocks)
 
 
 def n_parameters(qubits: int, depth: int, ansatz: str = "ry") -> int:
-    return _gates(qubits, depth, ansatz)[1]
+    return _blocks(qubits, depth, ansatz)[-1][1].stop
 
 
 @lru_cache(maxsize=None)
@@ -169,17 +173,18 @@ def _cz_chain_signs(qubits: int) -> np.ndarray:
 
 def ansatz_state(parameters: np.ndarray, qubits: int, depth: int,
                  ansatz: str = "ry") -> np.ndarray:
-    """Statevector of the ``ansatz`` gate list applied to |0...0>.
+    """Statevector of the ``ansatz`` blocks applied to |0...0>.
 
     "ry" gives real amplitudes; "ry-rz" follows each RY layer with an RZ
     layer and reaches complex ones.  Takes one parameter per rotation,
     ``n_parameters(qubits, depth, ansatz)`` in all; all zero gives |0...0>.
-    The first RY layer meets only exact zeros in partner amplitudes, so it
-    is the product state whose amplitude r multiplies, qubit 0 first,
-    cos(theta_q / 2) or sin(theta_q / 2) as bit q of r is clear or set:
-    the same products, in the same order, as rotating gate by gate.
+    The first block, RY on every qubit, meets only exact zeros in partner
+    amplitudes, so it is the product state whose amplitude r multiplies,
+    qubit 0 first, cos(theta_q / 2) or sin(theta_q / 2) as bit q of r is
+    clear or set: the same products, in the same order, as rotating gate by
+    gate.
     """
-    blocks, count = _rotation_blocks(qubits, depth, ansatz), _gates(qubits, depth, ansatz)[1]
+    blocks, count = _blocks(qubits, depth, ansatz), n_parameters(qubits, depth, ansatz)
     parameters = np.asarray(parameters, dtype=float).reshape(-1)
     if parameters.shape[0] != count:
         raise ValueError(
@@ -191,12 +196,11 @@ def ansatz_state(parameters: np.ndarray, qubits: int, depth: int,
     cos, sin = [[math.cos(h)] for h in halves], [[math.sin(h)] for h in halves]
     state = np.multiply.reduce(np.where(_bit_tables(qubits)[0] > 0, cos, sin), axis=0)
     state = state.astype(complex)
-    for gate, qs, k in blocks:
+    for gate, k in blocks[1:]:  # blocks[0] is the product state
         if gate == "cz":
             state *= _cz_chain_signs(qubits)
             continue
-        first = max(k.start, qubits)  # rotations before it are the product state
-        for q, angle in zip(qs[first - k.start:], angles[first:k.stop]):
+        for q, angle in enumerate(angles[k]):
             _rotate(state, gate, q, angle)
     return state
 
@@ -227,18 +231,6 @@ ansatz_state_phased = partial(ansatz_state, ansatz="ry-rz")
 
 
 @lru_cache(maxsize=None)
-def _rotation_blocks(qubits: int, depth: int, ansatz: str) -> tuple:
-    """``_gates`` as blocks ``(gate, qubits, parameter slice)``: each run of
-    rotations of one kind is one block, and each CZ chain a block of its own."""
-    blocks, k = [], 0
-    for gate, run in groupby(_gates(qubits, depth, ansatz)[0], key=lambda g: g[0]):
-        qs = [q for _, q in run] if gate != "cz" else []
-        blocks.append((gate, qs, slice(k, k + len(qs))))
-        k += len(qs)
-    return tuple(blocks)
-
-
-@lru_cache(maxsize=None)
 def _bit_tables(qubits: int) -> tuple:
     """``(z, flips)`` with z[q, r] = +1 or -1 for bit q of r clear or set and
     flips[q, r] = r ^ m_q, m_q = 2^(n-1-q): qubit 0 is the most significant bit."""
@@ -246,30 +238,27 @@ def _bit_tables(qubits: int) -> tuple:
     return np.where(idx & masks, -1.0, 1.0), idx ^ masks
 
 
-def _energy_and_gradient(h: HamiltonianSpec, parameters, qubits: int, depth: int, ansatz: str):
+def _energy_and_gradient(h: HamiltonianSpec, parameters, depth: int, ansatz: str):
     """<psi|H|psi> and its gradient by the adjoint method (Jones & Gacon,
     arXiv:2009.02823), walked back over the stack of lam = H|psi> and
-    phi = |psi> one rotation block at a time.  A block's rotations commute
-    with each other and with each of its generators P_q, so all of its
-    gradients Im <lam|P_q|phi> are read at its end; an RZ block is then
+    phi = |psi> one block of :func:`_blocks` at a time.  A block's rotations
+    commute with each other and with each of its generators P_q, so all of
+    its gradients Im <lam|P_q|phi> are read at its end; an RZ block is then
     undone with one phase vector, an RY block qubit by qubit."""
-    phi = ansatz_state(parameters, qubits, depth, ansatz)
+    phi = ansatz_state(parameters, h.qubits, depth, ansatz)
     energy = h.expectation(phi)
     lam, phi = pair = np.stack([h.apply(phi), phi])  # views into the one stack
-    z, flips = _bit_tables(qubits)
+    z, flips = _bit_tables(h.qubits)
     gradient = np.empty(len(parameters))
-    for gate, qs, k in reversed(_rotation_blocks(qubits, depth, ansatz)):
+    for gate, k in reversed(_blocks(h.qubits, depth, ansatz)):
         if gate == "cz":
-            pair *= _cz_chain_signs(qubits)
+            pair *= _cz_chain_signs(h.qubits)
         elif gate == "rz":  # <lam|Z_q|phi> = sum_r conj(lam_r) z[q, r] phi_r
             gradient[k] = (z @ (lam.conj() * phi)).imag
             pair *= np.exp(0.5j * (parameters[k] @ z))
         else:  # <lam|Y_q|phi> = -i sum_r conj(lam_r) z[q, r] phi[r ^ m_q]
-            # A block holds each qubit once, in order, except that at 1 qubit
-            # the RY layers merge into one block: one row per rotation there.
-            rows = slice(None) if len(qs) == qubits else qs
-            gradient[k] = -((z[rows] * phi[flips[rows]]) @ lam.conj()).real
-            for q, angle in zip(qs, parameters[k]):
+            gradient[k] = -((z * phi[flips]) @ lam.conj()).real
+            for q, angle in enumerate(parameters[k]):
                 _rotate(pair, "ry", q, -angle)
     return energy, gradient
 
@@ -362,7 +351,7 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
 
     def objective(params):
         if adjoint:
-            return _energy_and_gradient(h, params, h.qubits, cfg.depth, cfg.ansatz)
+            return _energy_and_gradient(h, params, cfg.depth, cfg.ansatz)
         state = ansatz_state(params, h.qubits, cfg.depth, cfg.ansatz)
         if cfg.shots:
             return _sampled_expectation(psum, state, cfg.shots, shot_rng, actions)

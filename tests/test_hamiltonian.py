@@ -201,6 +201,8 @@ def test_flip_rows_are_built_once(monkeypatch, qubits):
     for _ in range(25):
         spec.expectation(psi)
         spec.apply(psi)
+        spec.ground_energy()
+        spec.as_matrix()
     assert len(calls) == 1 and calls[0] is spec.pauli
 
 

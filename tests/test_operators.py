@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from ringcasimir.operators import (
     hermitian_eigen,
     hermiticity_defect,
     kron_chain,
+    require_hermitian,
 )
+from ringcasimir.chiral import dirac_sea_energy, jordan_wigner_hamiltonian
 
 I2 = np.eye(2)
 
@@ -188,6 +192,18 @@ def test_hermitian_eigen_deterministic():
 
 def test_hermitian_eigen_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="1"):
+    with pytest.raises(ValueError, match="not Hermitian.*1"):
         hermitian_eigen(bad)
     assert hermiticity_defect(bad) == 1.0
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("check", [hermiticity_defect, require_hermitian, hermitian_eigen,
+                                   dirac_sea_energy, jordan_wigner_hamiltonian])
+@pytest.mark.parametrize("shape", [(), (2,), (2, 3), (2, 2, 2)])
+def test_non_square_input_is_rejected_with_its_shape(check, shape):
+    # 0-D, 1-D and 3-D zeros equal their own transpose, so only the shape
+    # check turns them away; a (2, 3) one would fail in M - M^dag unnamed.
+    with pytest.raises(ValueError, match=re.escape(f"not square 2-D: shape {shape}")):
+        check(np.zeros(shape))

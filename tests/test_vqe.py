@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -122,11 +123,18 @@ def test_ansatz_real_amplitudes():
     assert np.max(np.abs(state.imag)) < 1e-12
 
 
+def block_gates(qubits, depth, ansatz):
+    """``vqe._blocks`` expanded into ``(gate, qubit)`` pairs in application
+    order; a CZ chain is one gate with qubit ``None``."""
+    return [(gate, q) for gate, k in vqe._blocks(qubits, depth, ansatz)
+            for q in ([None] if gate == "cz" else range(k.stop - k.start))]
+
+
 def per_gate_ansatz_oracle(parameters, qubits, depth, ansatz):
     """The ansatz one gate at a time from |0...0>: each RY copies the pair
     (a, b) and writes (c a - s b, s a + c b), each RZ scales the pair by two
     phases, each CZ chain multiplies by its signs."""
-    gates, _ = vqe._gates(qubits, depth, ansatz)
+    gates = block_gates(qubits, depth, ansatz)
     state = np.zeros(2**qubits, dtype=complex)
     state[0] = 1.0
     angles = iter(np.asarray(parameters, dtype=float))
@@ -163,8 +171,8 @@ def test_ansatz_state_matches_per_gate_oracle_bit_for_bit(qubits, depth, ansatz,
 @pytest.mark.parametrize("ansatz", ANSATZE)
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_one_qubit_ansatz_matches_per_gate_oracle(depth, ansatz):
-    # At 1 qubit there is no CZ chain, so the "ry" layers form one block and
-    # only its first angle belongs to the product state.
+    # At 1 qubit there is no CZ chain, so the "ry" layers follow one another
+    # directly and only the first belongs to the product state.
     params = np.random.default_rng(depth).uniform(-4 * math.pi, 4 * math.pi,
                                                   n_parameters(1, depth, ansatz))
     state = ansatz_state(params, 1, depth, ansatz)
@@ -235,7 +243,7 @@ def test_adjoint_gradient_matches_central_differences(qubits, depth, ansatz, for
     def energy(x):
         return spec.expectation(ansatz_state(x, qubits, depth, ansatz))
 
-    value, gradient = _energy_and_gradient(spec, params, qubits, depth, ansatz)
+    value, gradient = _energy_and_gradient(spec, params, depth, ansatz)
     assert value == energy(params)
     step = 1e-6
     central = [(energy(params + step * e) - energy(params - step * e)) / (2 * step)
@@ -244,10 +252,11 @@ def test_adjoint_gradient_matches_central_differences(qubits, depth, ansatz, for
 
 
 def per_gate_adjoint_oracle(h, parameters, qubits, depth, ansatz):
-    """The adjoint gradient one gate at a time: walk the gate list in
+    """The adjoint gradient one gate at a time: walk the expanded blocks in
     reverse; rotation k gives Im <lam|P|phi> from two inner products, then
     is undone on lam and on phi separately."""
-    gates, count = vqe._gates(qubits, depth, ansatz)
+    gates = block_gates(qubits, depth, ansatz)
+    count = n_parameters(qubits, depth, ansatz)
     phi = ansatz_state(parameters, qubits, depth, ansatz)
     lam = h.apply(phi)
     gradient = np.empty(count)
@@ -281,7 +290,7 @@ def test_block_gradient_matches_per_gate_oracle(qubits, depth, ansatz, form, see
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         spec = HamiltonianSpec(qubits=qubits, pauli=decompose((a + a.conj().T) / 2.0, 0.0))
     params = rng.uniform(-np.pi, np.pi, n_parameters(qubits, depth, ansatz))
-    _, gradient = vqe._energy_and_gradient(spec, params, qubits, depth, ansatz)
+    _, gradient = vqe._energy_and_gradient(spec, params, depth, ansatz)
     oracle = per_gate_adjoint_oracle(spec, params, qubits, depth, ansatz)
     assert np.max(np.abs(gradient - oracle)) < 1e-12
 
@@ -300,8 +309,28 @@ def test_block_gradient_rotation_count(monkeypatch):
     monkeypatch.setattr(vqe, "_rotate", counting)
     spec = jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(3, 10.0)))
     params = np.random.default_rng(0).uniform(-np.pi, np.pi, n_parameters(6, 3, "ry-rz"))
-    vqe._energy_and_gradient(spec, params, 6, 3, "ry-rz")
+    vqe._energy_and_gradient(spec, params, 3, "ry-rz")
     assert len(calls) == 66
+
+
+@pytest.mark.parametrize("build,depth,ansatz,seed,energy,digest", [
+    (lambda: jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(3, 10.0))),
+     3, "ry-rz", 0, "0x1.8c507254a3340p+0",
+     "44a7dbda907682bcd6280ef38386ab866da8650ba96effb4d6872af9ea4861c9"),
+    (lambda: HamiltonianSpec(qubits=4, diagonal=np.random.default_rng(1).normal(size=16)),
+     2, "ry", 2, "0x1.2a452dbdaa25ap-5",
+     "b69416d20428850ff6a6431754a83e054e96183dc787c0b087b9aa815d2ed409"),
+], ids=["criterion-10-ry-rz", "diagonal-ry"])
+def test_energy_and_gradient_golden_bits(build, depth, ansatz, seed, energy, digest):
+    # Bit-for-bit values, which the 1e-12 oracle comparison cannot pin: a
+    # last-bit change in the forward or backward walk shows here.  Recorded
+    # with numpy 2.4.6 and OpenBLAS 0.3.31, the same at 1 and 2 threads.
+    spec = build()
+    count = n_parameters(spec.qubits, depth, ansatz)
+    params = np.random.default_rng(seed).uniform(-np.pi, np.pi, count)
+    value, gradient = vqe._energy_and_gradient(spec, params, depth, ansatz)
+    assert value.hex() == energy
+    assert hashlib.sha256(gradient.tobytes()).hexdigest() == digest
 
 
 def test_exact_quadratic_run_takes_the_adjoint_gradient():
