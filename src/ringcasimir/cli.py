@@ -400,12 +400,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "needs_selector", False):
-        chosen = [
-            bool(args.family),
-            bool(args.chiral),
-            bool(getattr(args, "from_file", None)),
-        ]
-        if sum(chosen) != 1:
+        chosen = (args.family, args.chiral, getattr(args, "from_file", None))
+        if sum(map(bool, chosen)) != 1:
             parser.error("choose exactly one of --family / --chiral / --from-file")
         for dest, owners in _SELECTOR_FLAGS.items():
             value = getattr(args, dest, None)

@@ -139,7 +139,11 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
-    defect = hermiticity_defect(m)
+    _require_small_defect(hermiticity_defect(m))
+    return m
+
+
+def _require_small_defect(defect: float) -> None:
     # A NaN or inf entry always leaves a NaN or inf in M - M^dag.
     if not np.isfinite(defect):
         raise ValueError("matrix has non-finite entries")
@@ -147,7 +151,6 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e} > {HERMITICITY_TOL:.0e}"
         )
-    return m
 
 
 def hermitian_eigen(m: np.ndarray, vectors: bool = False):
@@ -159,7 +162,4 @@ def hermitian_eigen(m: np.ndarray, vectors: bool = False):
     ``ValueError`` naming the maximum deviation.
     """
     m = require_hermitian(m)
-    if vectors:
-        w, v = np.linalg.eigh(m)
-        return w, v
-    return np.linalg.eigvalsh(m)
+    return tuple(np.linalg.eigh(m)) if vectors else np.linalg.eigvalsh(m)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DENSE_QUBIT_CAP, CapacityError, bit_parity, require_hermitian
+from .operators import DENSE_QUBIT_CAP, CapacityError, _require_small_defect, bit_parity
 
 __all__ = [
     "ALPHABET",
@@ -158,12 +158,16 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     qubits = dim.bit_length() - 1
     if dim != 2**qubits or qubits < 1:
         raise ValueError(f"dimension {dim} is not a power of two >= 2")
-    require_hermitian(h)
     flips = np.flatnonzero(np.bincount(np.bitwise_xor(*np.nonzero(h)), minlength=dim))
+    idx = np.arange(dim)[:, None]
+    rows = h[idx, idx ^ flips]  # column k holds x = flips[k]
+    # hermiticity_defect(h): an entry outside every flip row is zero, and so is its mirror
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported as such
+        mirror = rows[idx ^ flips, np.arange(flips.size)].conj()
+        _require_small_defect(float(np.max(np.abs(rows - mirror), initial=0.0)))
     if qubits > DENSE_QUBIT_CAP and flips.any():
         raise CapacityError(f"{qubits} qubits exceed the {DENSE_QUBIT_CAP}-qubit dense cap")
-    idx = np.arange(dim)[:, None]
-    coeffs = _walsh_hadamard(h[idx, idx ^ flips])  # column k holds x = flips[k]
+    coeffs = _walsh_hadamard(rows)
     phases = np.array(_PHASES)[[z.bit_count() % 4 for z in range(dim)]]  # i^popcount(z)
     for z, row in enumerate(coeffs):
         row *= phases[z & flips]  # i^n_Y

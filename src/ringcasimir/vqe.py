@@ -246,8 +246,9 @@ def _energy_and_gradient(h: HamiltonianSpec, parameters, depth: int, ansatz: str
     its gradients Im <lam|P_q|phi> are read at its end; an RZ block is then
     undone with one phase vector, an RY block qubit by qubit."""
     phi = ansatz_state(parameters, h.qubits, depth, ansatz)
-    energy = h.expectation(phi)
-    lam, phi = pair = np.stack([h.apply(phi), phi])  # views into the one stack
+    lam = h.apply(phi)  # expectation(phi) on flip rows is this vdot; a diagonal rounds otherwise
+    energy = float(np.vdot(phi, lam).real) if isinstance(h._form, tuple) else h.expectation(phi)
+    lam, phi = pair = np.stack([lam, phi])  # views into the one stack
     z, flips = _bit_tables(h.qubits)
     gradient = np.empty(len(parameters))
     for gate, k in reversed(_blocks(h.qubits, depth, ansatz)):
@@ -302,13 +303,8 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig, jac: bool = Fa
         converged = bool(result.success)
     except _BudgetSpent:
         converged = False
-    return VqeResult(
-        energy=best["fun"],
-        parameters=best["x"],
-        trace=trace,
-        evaluations=evaluations[0],
-        converged=converged,
-    )
+    return VqeResult(energy=best["fun"], parameters=best["x"], trace=trace,
+                     evaluations=evaluations[0], converged=converged)
 
 
 def _sampled_expectation(p: PauliSum, state: np.ndarray, shots: int, rng, actions=None) -> float:

@@ -167,27 +167,72 @@ def test_split_pauli_ground_energy_matches_the_dense_oracle(qubits, seed):
     assert spec.ground_energy() == pytest.approx(float(np.linalg.eigvalsh(h)[0]), abs=1e-12)
 
 
-def test_chiral_ground_energy_solves_no_block_above_one_sector(monkeypatch):
+def test_chiral_l6_ground_energy_builds_no_dense_matrix(monkeypatch):
     t = single_particle_matrix(ChiralSystem(6, 10.0))
     spec, sea = jordan_wigner_hamiltonian(t), dirac_sea_energy(t)
-    solve, shapes = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or solve(a))
-    _forbid(monkeypatch, "reconstruct")
-    assert abs(spec.ground_energy() - sea) <= 1e-12
-    assert len(shapes) == 13 and max(shapes) == (924, 924)  # C(12, 6)
-
-
-def test_dense_pauli_spec_is_solved_whole_without_a_graph(monkeypatch):
-    # every single-bit flip row of a random dense operator is nonzero, so the
-    # flip-row graph is connected; 7 qubits keep the 4^7-term sum quick
-    p = decompose(random_operator(np.random.default_rng(11), 7, False), 0.0)
-    expected = np.linalg.eigvalsh(reconstruct(p))[0]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("connected_components called")
+        raise AssertionError("dense solve")
 
-    monkeypatch.setattr(hamiltonian, "connected_components", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(HamiltonianSpec, "as_matrix", refuse)
+    _forbid(monkeypatch, "reconstruct")
+    assert abs(spec.ground_energy() - sea) <= 1e-12
+
+
+def test_dense_pauli_spec_is_solved_whole_without_a_graph():
+    # 7 qubits sit at the dense-solve cutoff, so the 4^7-term sum of a random
+    # dense operator is solved by the same eigvalsh as its reconstruction
+    p = decompose(random_operator(np.random.default_rng(11), 7, False), 0.0)
+    expected = np.linalg.eigvalsh(reconstruct(p))[0]
     assert HamiltonianSpec(qubits=7, pauli=p).ground_energy() == expected
+
+
+def lanczos_case(kind, qubits):
+    """A non-diagonal Pauli sum on 8-10 qubits, above the dense-solve cutoff."""
+    rng = np.random.default_rng(qubits)
+    if kind == "random":
+        return random_pauli_sum(rng, qubits, False)
+    if kind == "confined":  # 2^(qubits - 2) components or more
+        return confined_pauli_sum(rng, qubits, {0, qubits - 1})
+    if kind == "number":
+        a = rng.normal(size=(qubits, qubits)) + 1j * rng.normal(size=(qubits, qubits))
+        return jordan_wigner_hamiltonian((a + a.conj().T) / 2.0).pauli
+    if kind == "one-x":  # eigenvalues +-0.75, each 2^(qubits - 1) times
+        return PauliSum(qubits, ((0.75, "I" * (qubits - 1) + "X"),))
+    return PauliSum(qubits, tuple((1.0, "I" * q + "X" + "I" * (qubits - 1 - q)) for q in range(qubits)))
+
+
+@pytest.mark.parametrize("qubits", [8, 9, 10])
+@pytest.mark.parametrize("kind", ["random", "confined", "number", "one-x", "all-x"])
+def test_lanczos_ground_energy_matches_the_dense_oracle(kind, qubits):
+    p = lanczos_case(kind, qubits)
+    spec = HamiltonianSpec(qubits=qubits, pauli=p)
+    oracle = float(np.linalg.eigvalsh(reconstruct(p))[0])
+    assert spec.ground_energy() == pytest.approx(oracle, abs=1e-12)
+
+
+def test_lanczos_ground_energy_repeats_bit_for_bit():
+    p = lanczos_case("number", 10)
+    first = HamiltonianSpec(qubits=10, pauli=p).ground_energy()
+    again = HamiltonianSpec(qubits=10, pauli=p)
+    assert again.ground_energy() == first and again.ground_energy() == first
+
+
+def test_sum_of_x_on_twelve_qubits_reaches_minus_twelve():
+    spec = HamiltonianSpec(qubits=12, pauli=lanczos_case("all-x", 12))
+    assert spec.ground_energy() == pytest.approx(-12.0, abs=1e-12)
+
+
+def test_unconverged_lanczos_falls_back_to_the_dense_solve(monkeypatch):
+    p = lanczos_case("random", 8)
+
+    def give_up(*args, **kwargs):
+        raise hamiltonian.ArpackNoConvergence("no convergence", np.empty(0), np.empty((256, 0)))
+
+    monkeypatch.setattr(hamiltonian, "eigsh", give_up)
+    expected = float(np.linalg.eigvalsh(reconstruct(p))[0])
+    assert HamiltonianSpec(qubits=8, pauli=p).ground_energy() == expected
 
 
 @pytest.mark.parametrize("qubits", [3, 9], ids=["3-pauli", "9-pauli"])

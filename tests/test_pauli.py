@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from ringcasimir.chiral import jordan_wigner_hamiltonian
 from ringcasimir.lattice import ModeFamily, mode_hamiltonian, ring_hamiltonian
-from ringcasimir.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, kron_chain
+from ringcasimir.operators import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    kron_chain,
+    require_hermitian,
+)
 from ringcasimir.pauli import (
     ALPHABET,
     _flip_rows,
@@ -99,6 +106,27 @@ def structured_hermitian(rng, kind, qubits):
         return (h + h.conj().T) / 2
     a = rng.normal(size=(qubits, qubits)) + 1j * rng.normal(size=(qubits, qubits))
     return jordan_wigner_hamiltonian((a + a.conj().T) / 2).as_matrix()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["dense", "diagonal", "x-row", "jordan-wigner"]), st.integers(1, 4),
+       st.sampled_from([1e-11, 1e-9, 0.5, np.nan, np.inf, -np.inf]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_decompose_rejects_as_require_hermitian_does(kind, qubits, bad, imaginary, seed):
+    # the defect read from the flip rows is hermiticity_defect(h), so the
+    # same matrices pass and the same messages name the same defect
+    rng = np.random.default_rng(seed)
+    h = structured_hermitian(rng, kind, qubits)
+    i, j = rng.integers(2**qubits, size=2)
+    h[i, j] += bad * (1j if imaginary else 1.0)
+    try:
+        require_hermitian(h)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            decompose(h)
+        assert str(caught.value) == str(exc)
+    else:
+        decompose(h)
 
 
 @settings(max_examples=40, deadline=None)

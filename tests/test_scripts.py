@@ -39,6 +39,14 @@ def test_scripts_write_their_files(tmp_path, monkeypatch):
     assert report["casimir"] == report["dirac_sea_energy"] - report["subtraction"]
 
 
+def test_chiral_scan_dual_path_gaps_stay_at_rounding(capsys):
+    runpy.run_path(str(SCRIPTS / "chiral_scan.py"))["print_dual_path"]()
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["sites", "qubits", "seconds", "applies", "|E_JW", "-", "E_sea|"]
+    assert [row.split()[:2] for row in rows] == [[str(L), str(2 * L)] for L in range(2, 7)]
+    assert all(float(row.split()[-1]) <= 1e-12 for row in rows)
+
+
 def test_reproduce_tables_prints_every_family(capsys):
     runpy.run_path(str(SCRIPTS / "reproduce_tables.py"), run_name="__main__")
     blocks = capsys.readouterr().out.strip().split("\n\n")
