@@ -105,11 +105,10 @@ FAMILY_LABELS = tuple(
 
 
 def _prefactor(statistics: Statistics, sites: int) -> float:
+    """Boson or fermion prefactor; mode_frequency refuses the combined family."""
     if statistics is Statistics.BOSON:
         return 8.0 / (2 * sites + 1)
-    if statistics is Statistics.FERMION:
-        return 32.0 / (2 * sites + 1)
-    raise ValueError("combined family has no single prefactor; use the constituents")
+    return 32.0 / (2 * sites + 1)
 
 
 def _constituents(family: ModeFamily):

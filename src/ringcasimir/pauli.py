@@ -208,13 +208,11 @@ def is_diagonal(p: PauliSum) -> bool:
 
 
 def diagonal_part(p: PauliSum) -> np.ndarray:
-    """Diagonal of a {I, Z}-only PauliSum as a real vector."""
+    """Diagonal of a {I, Z}-only PauliSum as a real vector: the x = 0 row of
+    :func:`_flip_rows` (all zeros for an empty sum)."""
     if not is_diagonal(p):
         raise ValueError("PauliSum has off-diagonal strings")
-    out = np.zeros(2**p.qubits)
-    for coefficient, _, f in _string_actions(p):
-        out += coefficient * f
-    return out
+    return _flip_rows(p)[1].real.sum(axis=0)
 
 
 def _flip_rows(p: PauliSum):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +137,15 @@ def test_dispersion_table_matches_spectrum(L, eta):
     assert np.max(np.abs(branch_values - ev)) < 1e-9
 
 
+@pytest.mark.parametrize("eta", [1e160, 1e200, 1e300])
+def test_dispersion_table_matches_spectrum_at_huge_eta(eta):
+    system = ChiralSystem(6, eta)
+    branches = [v for p in dispersion_table(system) for v in (p.lambda_minus, p.lambda_plus)]
+    assert all(map(math.isfinite, branches))
+    eig = np.linalg.eigvalsh(single_particle_matrix(system))
+    assert np.max(np.abs(np.sort(branches) - eig)) <= 5e-16 * np.max(np.abs(eig))
+
+
 def test_eta_one_branches_opposite():
     system = ChiralSystem(6, 1.0)
     for pt in dispersion_table(system):
@@ -185,6 +198,46 @@ def test_bulk_density_eta_one_quadrature_vs_lattice_limit():
     assert oracle_sea(512, 1.0) / 512 == pytest.approx(bulk, abs=1e-4)
 
 
+def quad_bulk_density(eta):
+    """The adaptive quadrature that bulk_density once ran, kept as an oracle."""
+    from scipy.integrate import quad
+
+    value, _ = quad(
+        lambda p: dispersion(p, eta).lambda_minus,
+        0.0, 2.0 * math.pi, epsabs=1e-10, epsrel=1e-12, limit=400,
+    )
+    return value / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "eta", [1.0, 1.0 + 2.0**-52, 1.0001, 1.5, 2.0, 5.0, 10.0, 50.0, 100.0, 1e3, 1e4]
+)
+def test_bulk_density_closed_form_matches_quadrature(eta):
+    oracle = quad_bulk_density(eta)
+    assert abs(bulk_density(eta) - oracle) <= 4 * math.ulp(oracle)
+
+
+def test_bulk_density_eta_one_is_minus_eight_over_pi():
+    assert bulk_density(1.0) == -8.0 / math.pi
+
+
+def test_bulk_density_is_finite_at_huge_eta():
+    eta = 1e160
+    value = bulk_density(eta)
+    assert math.isfinite(value)
+    assert value == pytest.approx(-(2.0 / math.pi) * (1.0 + eta), rel=1e-15)
+
+
+def test_import_loads_no_numerical_quadrature():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import ringcasimir, sys; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=os.environ | {"PYTHONPATH": str(src)},
+    ).stdout
+    assert out.strip() == "False"
+
+
 def test_bulk_density_grows_with_eta():
     assert bulk_density(10.0) < bulk_density(2.0) < bulk_density(1.0) < 0.0
 
@@ -212,6 +265,13 @@ def test_calibration_reproduces_reference_energy():
     system = reference_system(REFERENCE_SITES, REFERENCE_ETA)
     sea = dirac_sea_energy(single_particle_matrix(system))
     assert sea == pytest.approx(REFERENCE_GROUND_ENERGY, abs=1e-9)
+
+
+@pytest.mark.parametrize("reference", [-1e7, -12345678.9])
+def test_calibration_reproduces_any_reference(reference):
+    constant = calibrate_scale_constant(reference_energy=reference)
+    raw = dirac_sea_energy(single_particle_matrix(ChiralSystem(REFERENCE_SITES, REFERENCE_ETA)))
+    assert (constant / REFERENCE_SITES) * raw == pytest.approx(reference, rel=1e-15)
 
 
 def test_calibration_failure_is_loud():
@@ -292,6 +352,9 @@ def test_jw_capacity():
 
 
 def test_chiral_system_validation():
+    for block in (kinetic_block, wilson_block):
+        with pytest.raises(ValueError, match="sites must be >= 2, got 1"):
+            block(1)
     with pytest.raises(ValueError):
         ChiralSystem(1, 1.0)
     with pytest.raises(ValueError):

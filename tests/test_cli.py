@@ -7,8 +7,10 @@ import scipy
 
 from ringcasimir.chiral import (
     ChiralSystem,
+    bulk_density,
     dirac_sea_energy,
     jordan_wigner_hamiltonian,
+    reference_system,
     single_particle_matrix,
 )
 from ringcasimir.cli import main
@@ -60,6 +62,54 @@ def test_exact_sweep_reproduces_column(capsys, tmp_path):
     assert "timestamp" in manifest
     assert manifest["numpy_version"] == np.__version__
     assert manifest["scipy_version"] == scipy.__version__
+
+
+def test_exact_single_value_sweep_is_one_row(capsys):
+    code, out, _ = run_cli(capsys, "exact", "--family", "boson-periodic", "--sweep", "3")
+    assert code == 0
+    assert out == run_cli(capsys, "exact", "--family", "boson-periodic", "--sites", "3")[1]
+    assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("sweep", ["5..2", "0", "0..3"])
+def test_exact_bad_sweep_is_usage_error(capsys, sweep):
+    code, out, err = run_cli(capsys, "exact", "--family", "boson-periodic", "--sweep", sweep)
+    assert code == 2
+    assert err == f"error: bad sweep range {sweep!r}\n"
+
+
+def chiral_report(capsys, tmp_path, *argv):
+    out_json = tmp_path / "chiral.json"
+    code, _, _ = run_cli(capsys, "exact", "--chiral", *argv, "--json", str(out_json))
+    assert code == 0
+    return json.loads(out_json.read_text())
+
+
+def test_exact_chiral_bulk_subtraction_away_from_reference(capsys, tmp_path):
+    report = chiral_report(capsys, tmp_path, "--sites", "6", "--eta", "5")
+    system = reference_system(6, 5.0)
+    sea = dirac_sea_energy(single_particle_matrix(system))
+    assert report["scale"] == system.scale
+    assert report["subtraction"] == system.scale * system.sites * bulk_density(system.eta)
+    assert report["casimir"] == sea - report["subtraction"]
+
+
+def test_exact_chiral_explicit_scale_and_subtraction(capsys, tmp_path):
+    report = chiral_report(capsys, tmp_path, "--sites", "6", "--eta", "5", "--scale", "0.5")
+    assert report["scale"] == 0.5
+    assert report["dirac_sea_energy"] == dirac_sea_energy(
+        single_particle_matrix(ChiralSystem(6, 5.0, 0.5))
+    )
+    assert report["subtraction"] == 0.5 * 6 * bulk_density(5.0)
+    report = chiral_report(capsys, tmp_path, "--sites", "6", "--eta", "5", "--subtraction", "1.5")
+    assert report["subtraction"] == 1.5
+    assert report["casimir"] == report["dirac_sea_energy"] - 1.5
+
+
+def test_exact_chiral_at_huge_eta_is_finite(capsys, tmp_path):
+    report = chiral_report(capsys, tmp_path, "--sites", "3", "--eta", "1e160")
+    for key in ("dirac_sea_energy", "subtraction", "casimir", "continuum_target"):
+        assert math.isfinite(report[key])
 
 
 def test_exact_chiral_reference(capsys, tmp_path):
@@ -353,6 +403,14 @@ def test_dispersion_csv(capsys, tmp_path):
     assert rows[0][2] == pytest.approx(0.0, abs=1e-12)
     for _, lo, hi in rows:
         assert lo == pytest.approx(-hi, abs=1e-12)
+
+
+def test_dispersion_at_huge_eta_is_finite(capsys):
+    code, out, _ = run_cli(capsys, "dispersion", "--sites", "3", "--eta", "1e160")
+    assert code == 0
+    rows = [list(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(v) for row in rows for v in row)
 
 
 def test_dispersion_dense_grid(capsys):

@@ -281,6 +281,15 @@ def test_non_finite_matrix_rejected():
         HamiltonianSpec(qubits=1, pauli=decompose(np.array([[1.0, np.inf], [np.inf, 1.0]])))
 
 
+def test_spec_rejects_inconsistent_sizes():
+    with pytest.raises(ValueError, match="qubit count must be >= 1, got 0"):
+        HamiltonianSpec(qubits=0, diagonal=[1.0])
+    with pytest.raises(ValueError, match=r"diagonal length \(2,\) != 4"):
+        HamiltonianSpec(qubits=2, diagonal=[1.0, -1.0])
+    with pytest.raises(ValueError, match="pauli qubit count 1 != 2"):
+        HamiltonianSpec(qubits=2, pauli=PauliSum(1, ((1.0, "Z"),)))
+
+
 def test_non_finite_diagonal_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         HamiltonianSpec(qubits=1, diagonal=[np.nan, 1.0])

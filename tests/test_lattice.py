@@ -167,6 +167,11 @@ def test_mode_hamiltonian_spectra():
     assert np.allclose(spec_b.as_matrix(), np.diag(spec_b.diagonal))
 
 
+def test_mode_hamiltonian_refuses_the_combined_family():
+    with pytest.raises(ValueError, match="build the boson and fermion modes separately"):
+        mode_hamiltonian(CP(2), 1)
+
+
 def test_ring_hamiltonian_single_mode_equals_mode():
     ring = ring_hamiltonian(BP(1))
     mode = mode_hamiltonian(BP(1), 1)
@@ -212,6 +217,11 @@ def test_coupling_matrix_small_cases():
     s = 8.0 / 3.0
     roots = np.sort(s * np.sqrt(np.maximum(np.linalg.eigvalsh(ct), 0.0)))
     assert np.allclose(roots, [8 / 3, 8 / 3, 16 / 3], atol=1e-9)
+
+
+def test_coupling_matrix_refuses_empty_ring():
+    with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+        coupling_matrix(0, Boundary.PERIODIC)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])

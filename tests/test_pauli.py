@@ -85,6 +85,13 @@ def test_decompose_errors():
     for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [-np.inf, 1.0]]):
         with pytest.raises(ValueError, match="non-finite"):
             decompose(np.array(bad))
+    with pytest.raises(ValueError, match="expected a square matrix, got shape"):
+        decompose(np.zeros((2, 4)))
+    for bad in (np.zeros(3), np.zeros((2, 2)), np.zeros(1)):
+        with pytest.raises(ValueError, match="expected a 2\\^n diagonal"):
+            decompose_diagonal(bad)
+    with pytest.raises(ValueError, match="off-diagonal strings"):
+        diagonal_part(PauliSum(1, ((1.0, "X"),)))
     for bad in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [1.0, 2.0, -np.inf, 0.0]):
         with pytest.raises(ValueError, match="non-finite"):
             decompose_diagonal(np.array(bad))
@@ -329,6 +336,12 @@ def test_parse_rejections():
         parse("qubits 1\n1.0 Z\n2.0 Z\n")
     with pytest.raises(PauliFormatError):
         parse("")
+    with pytest.raises(PauliFormatError, match="line 1: qubit count 'two' is not an integer"):
+        parse("qubits two\n1.0 XX\n")
+    with pytest.raises(PauliFormatError, match="line 1: qubit count must be >= 1, got 0"):
+        parse("qubits 0\n")
+    with pytest.raises(PauliFormatError, match="line 2: expected '<coefficient> <string>'"):
+        parse("qubits 1\n1.0 Z extra\n")
 
 
 def test_term_count_invariant_under_round_trip():
@@ -338,6 +351,8 @@ def test_term_count_invariant_under_round_trip():
 
 
 def test_pauli_sum_validation():
+    with pytest.raises(ValueError, match="qubit count must be >= 1, got 0"):
+        PauliSum(0, ())
     with pytest.raises(ValueError, match="duplicate"):
         PauliSum(1, ((1.0, "Z"), (2.0, "Z")))
     with pytest.raises(ValueError, match="length"):
