@@ -146,13 +146,19 @@ def single_particle_matrix(system: ChiralSystem) -> np.ndarray:
 
 
 def dispersion(p: float, eta: float, scale: float = 1.0) -> DispersionPoint:
-    """The two energy branches at lattice momentum ``p`` (radians)."""
+    """The two energy branches at lattice momentum ``p`` (radians): the
+    roots (u -+ root)/2 of x^2 - u x - (eta a^2 + b^2), u = (1 - eta) a,
+    a = 2 sin p, b = 2 - 2 cos p.  The one larger in size, (u + sign(u)
+    root)/2, adds two magnitudes; the other is the product -(eta a^2 + b^2)
+    over it, since (u - sign(u) root)/2 cancels once eta |a| dwarfs it."""
     a = 2.0 * math.sin(p)
     b = 2.0 - 2.0 * math.cos(p)
     root = math.hypot((1.0 + eta) * a, 2.0 * b)
-    lo = scale * ((1.0 - eta) * a - root) / 2.0
-    hi = scale * ((1.0 - eta) * a + root) / 2.0
-    return DispersionPoint(momentum=p, lambda_minus=lo, lambda_plus=hi)
+    u = (1.0 - eta) * a
+    big = (u + math.copysign(root, u)) / 2.0
+    small = -(eta * a * a + b * b) / big if big else 0.0
+    lo, hi = sorted((big, small))
+    return DispersionPoint(momentum=p, lambda_minus=scale * lo, lambda_plus=scale * hi)
 
 
 def dispersion_table(system: ChiralSystem) -> list:

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import pauli as _pauli
 from .operators import DENSE_QUBIT_CAP, CapacityError
@@ -130,6 +129,9 @@ class HamiltonianSpec:
         if not isinstance(form, tuple):
             return float(form.min())
         if self.dim > _DENSE_SOLVE_DIM:
+            # Imported here: only this solve needs ARPACK, whose load takes 0.3 s.
+            from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
             start = np.random.default_rng(0).standard_normal((2, self.dim))
             operator = LinearOperator((self.dim, self.dim), matvec=self.apply, dtype=complex)
             try:

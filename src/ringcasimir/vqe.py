@@ -34,7 +34,6 @@ from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .hamiltonian import CapacityError, HamiltonianSpec
 from .lattice import (
@@ -244,7 +243,8 @@ def _energy_and_gradient(h: HamiltonianSpec, parameters, depth: int, ansatz: str
     phi = |psi> one block of :func:`_blocks` at a time.  A block's rotations
     commute with each other and with each of its generators P_q, so all of
     its gradients Im <lam|P_q|phi> are read at its end; an RZ block is then
-    undone with one phase vector, an RY block qubit by qubit."""
+    undone with one phase vector, an RY block qubit by qubit, except the
+    first block, after which nothing is read."""
     phi = ansatz_state(parameters, h.qubits, depth, ansatz)
     lam = h.apply(phi)  # expectation(phi) on flip rows is this vdot; a diagonal rounds otherwise
     energy = float(np.vdot(phi, lam).real) if isinstance(h._form, tuple) else h.expectation(phi)
@@ -259,6 +259,8 @@ def _energy_and_gradient(h: HamiltonianSpec, parameters, depth: int, ansatz: str
             pair *= np.exp(0.5j * (parameters[k] @ z))
         else:  # <lam|Y_q|phi> = -i sum_r conj(lam_r) z[q, r] phi[r ^ m_q]
             gradient[k] = -((z * phi[flips]) @ lam.conj()).real
+            if k.start == 0:  # blocks[0], the last one walked
+                break
             for q, angle in enumerate(parameters[k]):
                 _rotate(pair, "ry", q, -angle)
     return energy, gradient
@@ -296,10 +298,12 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig, jac: bool = Fa
 
     # COBYLA refuses a budget below the n + 2 points of its first simplex.
     maxiter = max(cfg.max_iterations, x0.size + 2) if linear else cfg.max_iterations
+    # Imported here so that commands which never optimize skip its 0.5 s load.
+    from scipy.optimize import minimize as scipy_minimize
     try:
         # scipy maps tol onto COBYLA's "tol" and SLSQP's "ftol".
-        result = _scipy_minimize(wrapped, x0, method=_SCIPY_METHOD[cfg.optimizer], jac=jac,
-                                 tol=cfg.tolerance, options={"maxiter": maxiter})
+        result = scipy_minimize(wrapped, x0, method=_SCIPY_METHOD[cfg.optimizer], jac=jac,
+                                tol=cfg.tolerance, options={"maxiter": maxiter})
         converged = bool(result.success)
     except _BudgetSpent:
         converged = False

@@ -1,7 +1,9 @@
+import decimal
 import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +118,33 @@ def test_dispersion_closed_form_points():
     quarter = dispersion(math.pi / 2.0, 1.0)
     assert quarter.lambda_minus == pytest.approx(-2.0 * math.sqrt(2.0))
     assert quarter.lambda_plus == pytest.approx(2.0 * math.sqrt(2.0))
+    zero = dispersion(0.0, 1e160)
+    assert zero.lambda_minus == 0.0 and zero.lambda_plus == 0.0
+    # The small branch tends to (eta a^2 + b^2) / (eta a) -> a = 2 sin p = sqrt(3).
+    far = dispersion(2.0 * math.pi / 3.0, 1e160)
+    assert far.lambda_plus == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    assert far.lambda_minus == pytest.approx(-math.sqrt(3.0) * 1e160, rel=1e-15)
+
+
+def exact_branches(p, eta):
+    """Both branches at 400 digits, from the same float a(p) and b(p) as
+    :func:`dispersion` and without its rewrite of the smaller root."""
+    with decimal.localcontext(prec=400):
+        a, b, eta = Decimal(2.0 * math.sin(p)), Decimal(2.0 - 2.0 * math.cos(p)), Decimal(eta)
+        u, root = (1 - eta) * a, ((1 + eta) ** 2 * a * a + 4 * b * b).sqrt()
+        return (u - root) / 2, (u + root) / 2
+
+
+@pytest.mark.parametrize("eta", [10.0, 1e8, 1e160])
+def test_dispersion_within_three_ulps_on_the_readme_grid(eta):
+    # The README's 14 ring momenta and 256 dense ones.  Solving for both
+    # roots as (u -+ root)/2 lost the small one to cancellation: 8.6 ulp at
+    # eta = 10, 8e7 ulp at 1e8.
+    momenta = [2.0 * math.pi * k / n for n in (14, 256) for k in range(n)]
+    for p in momenta:
+        point = dispersion(p, eta)
+        for value, exact in zip((point.lambda_minus, point.lambda_plus), exact_branches(p, eta)):
+            assert abs(Decimal(value) - exact) <= 3 * Decimal(math.ulp(float(exact)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,14 +257,16 @@ def test_bulk_density_is_finite_at_huge_eta():
     assert value == pytest.approx(-(2.0 / math.pi) * (1.0 + eta), rel=1e-15)
 
 
-def test_import_loads_no_numerical_quadrature():
+def test_import_loads_no_quadrature_optimizer_or_sparse():
+    # Only vqe.minimize and the Lanczos ground energy import these.
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import ringcasimir, sys; print('scipy.integrate' in sys.modules)"
+    modules = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+    code = f"import ringcasimir, sys; print(*(m in sys.modules for m in {modules}))"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=os.environ | {"PYTHONPATH": str(src)},
     ).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False"] * len(modules)
 
 
 def test_bulk_density_grows_with_eta():

@@ -59,3 +59,13 @@ def test_reproduce_tables_prints_every_family(capsys):
         assert [int(row.split()[0]) for row in rows] == list(range(1, 9))
         assert all(len(row.split()) == 4 for row in rows)
     assert blocks[-1].startswith("total time: ") and blocks[-1].endswith("s")
+
+
+def test_cli_timings_load_the_optimizer_only_for_vqe():
+    rows = runpy.run_path(str(SCRIPTS / "cli_timings.py"))["timings"](1)
+    assert [row[0].split()[0] for row in rows] == [
+        "exact", "export", "import", "exact", "pauli-count", "dispersion", "exact", "vqe"]
+    for command, seconds, code, (optimize, sparse) in rows:
+        assert code == 0 and seconds > 0.0
+        # vqe imports scipy.optimize at its first minimize, and with it scipy.sparse.
+        assert optimize == sparse == command.startswith("vqe"), command
