@@ -23,7 +23,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import pauli as _pauli
-from .operators import DENSE_QUBIT_CAP, CapacityError
+from .operators import DENSE_QUBIT_CAP, CapacityError, _require_cap
 
 __all__ = ["HamiltonianSpec", "DENSE_QUBIT_CAP", "RING_QUBIT_CAP", "CapacityError"]
 
@@ -33,11 +33,6 @@ RING_QUBIT_CAP = 16
 # Pauli sums (2 cores, numpy 2.4.6, scipy 1.17.1): 1.8 vs 8.2 ms at 128, 15 vs 18 at 256,
 # 65 vs 31 at 512; on the 8-qubit chiral sum, 19 vs 7.3 ms.
 _DENSE_SOLVE_DIM = 128
-
-
-def _require_cap(qubits: int, cap: int, kind: str) -> None:
-    if qubits > cap:
-        raise CapacityError(f"{qubits} qubits exceed the {cap}-qubit {kind} cap")
 
 
 @dataclass

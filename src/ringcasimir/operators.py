@@ -68,6 +68,11 @@ class CapacityError(RuntimeError):
     """A requested dense object exceeds the configured size cap."""
 
 
+def _require_cap(qubits: int, cap: int, kind: str) -> None:
+    if qubits > cap:
+        raise CapacityError(f"{qubits} qubits exceed the {cap}-qubit {kind} cap")
+
+
 def bit_parity(values: np.ndarray) -> np.ndarray:
     """Parity of the set bits of each entry of an integer array (True = odd)."""
     v = values.copy()

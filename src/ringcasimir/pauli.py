@@ -5,7 +5,8 @@ Gottesman, quant-ph/0406196: masks ``x`` (bits whose letter is X or Y) and
 ``z`` (Y or Z).  As Y = iXZ, the string maps |i> to
 i^n_Y (-1)^popcount(i & z) |i ^ x> with n_Y = popcount(x & z).
 Reconstruction, expectation values and the diagonal strings (x = 0) all use
-that one rule, and decomposition inverts it: c_P = Tr(P h) / 2^n is i^n_Y / 2^n
+that one rule on a table of each sum's masks, read once from its letters,
+and decomposition inverts it: c_P = Tr(P h) / 2^n is i^n_Y / 2^n
 times the Walsh-Hadamard transform over z of the row h[i, i ^ x] (Hantzko,
 Binkowski & Gupta, arXiv:2310.13421; Jones, arXiv:2401.16378).  Only rows
 with a nonzero entry are transformed, so a diagonal is the single row x = 0.
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .operators import DENSE_QUBIT_CAP, CapacityError, _require_small_defect, bit_parity
+from .operators import DENSE_QUBIT_CAP, _require_cap, _require_small_defect, bit_parity
 
 __all__ = [
     "ALPHABET",
@@ -41,14 +43,15 @@ __all__ = [
     "diagonal_part",
     "term_count",
     "term_values",
+    "sampled_expectation",
     "expectation",
     "serialize",
     "parse",
 ]
 
 ALPHABET = "IXYZ"
-_X_BITS = str.maketrans(ALPHABET, "0110")
-_Z_BITS = str.maketrans(ALPHABET, "0011")
+# The letter's bit in the x mask (X or Y), then in the z mask (Y or Z).
+_MASK_BITS = (str.maketrans(ALPHABET, "0110"), str.maketrans(ALPHABET, "0011"))
 # The inverse of the two tables above: the letter of (x bit) + 2 (z bit).
 _MASK_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
 _PHASES = (1.0, 1j, -1.0, -1j)
@@ -91,6 +94,8 @@ class PauliSum:
     The leftmost letter of a string acts on the most significant tensor
     slot.  Terms are kept in the canonical order (descending |coefficient|,
     lexicographic tie-break) so equality and serialization are deterministic.
+    The cached tables below live in the instance ``__dict__``, outside the
+    fields that ``==``, ``hash`` and :func:`serialize` see.
     """
 
     qubits: int
@@ -107,6 +112,18 @@ class PauliSum:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def _masks(self) -> tuple:
+        """``(x, z, n_Y)`` of each string in term order, read once from its
+        letters: Python ints, so a string of any length has its masks."""
+        xz = [[int(letters.translate(bits), 2) for bits in _MASK_BITS] for _, letters in self.terms]
+        return tuple((x, z, (x & z).bit_count()) for x, z in xz)
+
+    @cached_property
+    def _actions(self) -> tuple:
+        """Every :func:`_each_action`, built at the first :func:`term_values` call."""
+        return tuple(_each_action(self))
 
 
 def _letters(x: np.ndarray, z: np.ndarray, qubits: int) -> list:
@@ -165,8 +182,8 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported as such
         mirror = rows[idx ^ flips, np.arange(flips.size)].conj()
         _require_small_defect(float(np.max(np.abs(rows - mirror), initial=0.0)))
-    if qubits > DENSE_QUBIT_CAP and flips.any():
-        raise CapacityError(f"{qubits} qubits exceed the {DENSE_QUBIT_CAP}-qubit dense cap")
+    if flips.any():
+        _require_cap(qubits, DENSE_QUBIT_CAP, "dense")
     coeffs = _walsh_hadamard(rows)
     phases = np.array(_PHASES)[[z.bit_count() % 4 for z in range(dim)]]  # i^popcount(z)
     for z, row in enumerate(coeffs):
@@ -191,20 +208,18 @@ def decompose_diagonal(diagonal: np.ndarray, drop_tol: float = DROP_TOL) -> Paul
     return _pauli_sum(coeffs[:, None], np.zeros(1, dtype=int), qubits, drop_tol)
 
 
-def _string_actions(p: PauliSum):
-    """Each term as ``(coefficient, flip, f)`` with P|i> = f[i] |flip[i]>:
-    flip = i ^ x and f = i^n_Y (-1)^popcount(i & z) over the indices i."""
+def _each_action(p: PauliSum):
+    """Each string's ``(flip, f)``, in term order, with P|i> = f[i] |flip[i]>
+    over the indices i: flip = i ^ x and f = i^n_Y (-1)^popcount(i & z)."""
     idx = np.arange(2**p.qubits)
     signs = np.where(bit_parity(idx), -1.0, 1.0)  # (-1)^popcount(i)
-    for coefficient, letters in p.terms:
-        x = int(letters.translate(_X_BITS), 2)
-        z = int(letters.translate(_Z_BITS), 2)
-        yield coefficient, idx ^ x, _PHASES[letters.count("Y") % 4] * signs[idx & z]
+    for x, z, n_y in p._masks:
+        yield idx ^ x, _PHASES[n_y % 4] * signs[idx & z]
 
 
 def is_diagonal(p: PauliSum) -> bool:
     """True when every string has x = 0 (only I and Z letters)."""
-    return all(int(letters.translate(_X_BITS), 2) == 0 for _, letters in p.terms)
+    return not any(x for x, _, _ in p._masks)
 
 
 def diagonal_part(p: PauliSum) -> np.ndarray:
@@ -219,10 +234,11 @@ def _flip_rows(p: PauliSum):
     """``(flips, rows)`` with rows[k, r] = <r| sum |r ^ flips[k]>: the matrix
     entries of each flip mask that occurs, summed in term order, one term's
     action at a time."""
-    masks = [int(letters.translate(_X_BITS), 2) for _, letters in p.terms]
+    masks = [x for x, _, _ in p._masks]
     flips = np.unique(np.array(masks, dtype=int))
     rows = np.zeros((flips.size, 2**p.qubits), dtype=complex)
-    for k, (coefficient, flip, f) in zip(np.searchsorted(flips, masks), _string_actions(p)):
+    for k, (coefficient, _), (flip, f) in zip(np.searchsorted(flips, masks), p.terms,
+                                              _each_action(p)):
         rows[k] += coefficient * f[flip]
     return flips, rows
 
@@ -236,7 +252,9 @@ def _scatter(flips: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(p: PauliSum) -> np.ndarray:
-    """Dense matrix sum(c_P P); inverse of :func:`decompose` at drop_tol 0."""
+    """Dense matrix sum(c_P P) up to ``DENSE_QUBIT_CAP`` qubits; inverse of
+    :func:`decompose` at drop_tol 0."""
+    _require_cap(p.qubits, DENSE_QUBIT_CAP, "dense")
     return _scatter(*_flip_rows(p))
 
 
@@ -257,19 +275,28 @@ def term_values(p: PauliSum, state: np.ndarray) -> np.ndarray:
 
     The state must have dimension 2^qubits and unit norm within 1e-8.
     """
-    return _action_values(_string_actions(p), state, p.qubits)
-
-
-def _action_values(actions, state: np.ndarray, qubits: int) -> np.ndarray:
-    """:func:`term_values` from the ``_string_actions`` of a sum, which a
-    caller may build once and pass again."""
     state = np.asarray(state, dtype=complex).reshape(-1)
-    if state.shape[0] != 2**qubits:
-        raise ValueError(f"state dimension {state.shape[0]} != 2^{qubits}")
+    if state.shape[0] != 2**p.qubits:
+        raise ValueError(f"state dimension {state.shape[0]} != 2^{p.qubits}")
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-    return np.array([np.vdot(state[flip], f * state).real for _, flip, f in actions])
+    return np.array([np.vdot(state[flip], f * state).real for flip, f in p._actions])
+
+
+def sampled_expectation(p: PauliSum, state: np.ndarray, shots: int, rng) -> float:
+    """Finite-shot estimate of <state| P |state>: each non-identity string is
+    measured ``shots`` times as an independent +-1 binomial around its
+    :func:`term_values` entry, drawn from ``rng`` in term order."""
+    total = 0.0
+    for (coefficient, _), (x, z, _), mean in zip(p.terms, p._masks, term_values(p, state)):
+        if x == z == 0:
+            total += coefficient
+            continue
+        mean = min(1.0, max(-1.0, float(mean)))
+        ones = rng.binomial(shots, (1.0 + mean) / 2.0)
+        total += coefficient * (2.0 * ones / shots - 1.0)
+    return total
 
 
 def expectation(p: PauliSum, state: np.ndarray) -> float:

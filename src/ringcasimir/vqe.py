@@ -46,7 +46,7 @@ from .lattice import (
     subtraction_constant,
 )
 from .operators import bit_parity
-from .pauli import PauliSum, _action_values, _string_actions
+from .pauli import sampled_expectation
 
 __all__ = [
     "ANSATZE",
@@ -311,29 +311,14 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig, jac: bool = Fa
                      evaluations=evaluations[0], converged=converged)
 
 
-def _sampled_expectation(p: PauliSum, state: np.ndarray, shots: int, rng, actions=None) -> float:
-    """Finite-shot estimate: each non-identity term is measured ``shots``
-    times as an independent +-1 binomial around its exact value.  A run
-    passes ``actions = list(_string_actions(p))``, built once."""
-    total = 0.0
-    values = _action_values(actions or _string_actions(p), state, p.qubits)
-    for (coefficient, letters), mean in zip(p.terms, values):
-        if set(letters) == {"I"}:
-            total += coefficient
-            continue
-        mean = min(1.0, max(-1.0, float(mean)))
-        ones = rng.binomial(shots, (1.0 + mean) / 2.0)
-        total += coefficient * (2.0 * ones / shots - 1.0)
-    return total
-
-
 def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
     """Minimize <psi(theta)| H |psi(theta)> over the configured ansatz.
 
     Exact-expectation mode evaluates ``h.expectation`` on the stored
     representation and respects the variational bound: the reported energy
     cannot undercut the true ground energy; SLSQP also gets its adjoint
-    gradient.  Shot mode samples the terms of ``h.as_pauli()``.  Exhausting
+    gradient.  Shot mode samples the terms of ``h.as_pauli()``, whose term
+    actions the sum builds at the first evaluation and keeps.  Exhausting
     ``max_iterations`` yields ``converged=False`` rather than an error.
     """
     if h.qubits > STATEVECTOR_QUBIT_CAP:
@@ -342,7 +327,6 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
             "use per-mode partitioned runs"
         )
     psum = h.as_pauli() if cfg.shots else None
-    actions = list(_string_actions(psum)) if cfg.shots else None
     rng = np.random.default_rng(cfg.seed)
     x0 = rng.uniform(-cfg.init_spread, cfg.init_spread, n_parameters(h.qubits, cfg.depth, cfg.ansatz))
     shot_rng = np.random.default_rng(cfg.seed + 0x5EED) if cfg.shots else None
@@ -354,7 +338,7 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
             return _energy_and_gradient(h, params, cfg.depth, cfg.ansatz)
         state = ansatz_state(params, h.qubits, cfg.depth, cfg.ansatz)
         if cfg.shots:
-            return _sampled_expectation(psum, state, cfg.shots, shot_rng, actions)
+            return sampled_expectation(psum, state, cfg.shots, shot_rng)
         return h.expectation(state)
 
     return minimize(objective, x0, cfg, jac=adjoint)

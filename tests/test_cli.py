@@ -229,10 +229,14 @@ def test_chiral_sites_above_cap_exit_code(capsys):
 
 def test_diagonal_pauli_file_above_cap_exit_code(capsys, tmp_path):
     path = tmp_path / "big.pauli"
-    path.write_text("qubits 17\n1.0 " + "Z" * 17 + "\n")
-    for argv in (["import", str(path)], ["exact", "--from-file", str(path)]):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 4 and "16-qubit" in err
+    # The wide files need masks past 64 bits.
+    for qubits, letter, cap in ((17, "Z", "16-qubit diagonal cap"),
+                                (100, "Z", "16-qubit diagonal cap"),
+                                (70, "X", "12-qubit dense cap")):
+        path.write_text(f"qubits {qubits}\n1.0 " + letter * qubits + "\n")
+        for command in ("import", "exact --from-file", "vqe --from-file"):
+            code, _, err = run_cli(capsys, *command.split(), str(path))
+            assert code == 4 and cap in err, (qubits, command, err)
 
 
 def test_export_import_round_trip(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -252,6 +253,20 @@ def test_flip_rows_are_built_once(monkeypatch, qubits):
         spec.ground_energy()
         spec.as_matrix()
     assert len(calls) == 1 and calls[0] is spec.pauli
+
+
+def test_shot_mode_reads_each_table_once(monkeypatch):
+    spec = jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(2, 10.0)))
+    calls = {"_masks": [], "_actions": []}
+    for name, seen in calls.items():
+        build = getattr(pauli.PauliSum, name).func
+        spy = functools.cached_property(lambda p, build=build, seen=seen: seen.append(p) or build(p))
+        spy.__set_name__(pauli.PauliSum, name)
+        monkeypatch.setattr(pauli.PauliSum, name, spy)
+    result = run_vqe(spec, VqeConfig(shots=100, max_iterations=40, depth=1, ansatz="ry-rz"))
+    assert result.evaluations == 40
+    for seen in calls.values():
+        assert len(seen) == 1 and seen[0] is spec.pauli
 
 
 def test_spec_holds_exactly_one_representation():

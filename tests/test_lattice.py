@@ -21,6 +21,7 @@ from ringcasimir.lattice import (
     ring_hamiltonian,
     subtraction_constant,
 )
+from ringcasimir.lattice import _SERIES
 
 BP = lambda n: ModeFamily(Statistics.BOSON, Boundary.PERIODIC, n)
 BT = lambda n: ModeFamily(Statistics.BOSON, Boundary.TWISTED, n)
@@ -123,6 +124,22 @@ def test_large_n_series_values():
                 -4.0 * large_n_series(fam, order), rel=1e-14
             )
     assert abs(large_n_series(BP(10**6), 4)) < 1e-11
+
+
+def test_large_n_series_coefficients_bit_for_bit():
+    pi = math.pi
+    expected = {
+        (Statistics.BOSON, Boundary.PERIODIC): (
+            -pi / 6.0, pi / 6.0, -(180.0 * pi + pi**3) / 1440.0),
+        (Statistics.FERMION, Boundary.PERIODIC): (
+            4.0 * pi / 6.0, -4.0 * pi / 6.0, 4.0 * (180.0 * pi + pi**3) / 1440.0),
+        (Statistics.BOSON, Boundary.TWISTED): (
+            pi / 12.0, -pi / 12.0, pi / 16.0 - 7.0 * pi**3 / 11520.0),
+        (Statistics.FERMION, Boundary.TWISTED): (
+            -4.0 * pi / 12.0, 4.0 * pi / 12.0, -4.0 * (pi / 16.0 - 7.0 * pi**3 / 11520.0)),
+    }
+    hexed = lambda table: {key: [c.hex() for c in row] for key, row in table.items()}
+    assert hexed(_SERIES) == hexed(expected)
 
 
 def test_large_n_series_periodic_matches_exact():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ringcasimir.chiral import jordan_wigner_hamiltonian
 from ringcasimir.lattice import ModeFamily, mode_hamiltonian, ring_hamiltonian
 from ringcasimir.operators import (
+    CapacityError,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
@@ -163,6 +164,13 @@ def test_reconstruct_simple():
     assert np.allclose(reconstruct(p), np.diag([0.5, 1.5, 2.5, 3.5]))
 
 
+@pytest.mark.parametrize("letter", ["X", "Z"])
+def test_reconstruct_above_the_dense_cap_builds_nothing(monkeypatch, letter):
+    monkeypatch.setattr("ringcasimir.pauli._flip_rows", lambda p: pytest.fail("flip rows built"))
+    with pytest.raises(CapacityError, match="13 qubits exceed the 12-qubit dense cap"):
+        reconstruct(PauliSum(13, ((1.0, letter * 13),)))
+
+
 def test_ring_round_trip_fermion_n3():
     spec = ring_hamiltonian(ModeFamily.from_label("fermion-periodic", 3))
     h = spec.as_matrix()
@@ -268,6 +276,14 @@ def test_flip_rows_sum_the_terms_in_order(qubits, seed):
         x = x_mask[letters]
         expected[np.searchsorted(flips, x)] += coefficient * dense_string(letters)[idx, idx ^ x]
     assert np.array_equal(rows, expected)
+
+
+def test_cached_tables_stay_outside_equality_and_text():
+    p, q = (PauliSum(2, ((1.0, "XY"), (0.5, "ZI"))) for _ in range(2))
+    term_values(p, np.eye(4)[0])
+    assert {"_masks", "_actions"} <= vars(p).keys() and "_masks" not in vars(q)
+    assert p == q and hash(p) == hash(q) and serialize(p) == serialize(q)
+    assert p._masks == ((3, 1, 1), (0, 2, 0))  # XY: x = 0b11, z = 0b01; ZI: z = 0b10
 
 
 def test_term_values_follow_term_order():

@@ -441,12 +441,12 @@ def test_shots_converge_towards_exact():
     psum = decompose_diagonal(spec.diagonal)
     state = ansatz_state(np.array([0.3]), 1, 0)
     exact = expectation(psum, state)
-    from ringcasimir.vqe import _sampled_expectation
+    from ringcasimir.pauli import sampled_expectation
 
     rng_small = np.random.default_rng(0)
     rng_large = np.random.default_rng(0)
-    small = [abs(_sampled_expectation(psum, state, 100, rng_small) - exact) for _ in range(200)]
-    large = [abs(_sampled_expectation(psum, state, 10**6, rng_large) - exact) for _ in range(200)]
+    small = [abs(sampled_expectation(psum, state, 100, rng_small) - exact) for _ in range(200)]
+    large = [abs(sampled_expectation(psum, state, 10**6, rng_large) - exact) for _ in range(200)]
     assert np.mean(large) < np.mean(small) / 10.0
 
 
