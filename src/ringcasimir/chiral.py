@@ -32,7 +32,7 @@ scale = const / sites; the discovered constant is frozen in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -258,7 +258,8 @@ def calibrate_scale_constant(
 
 def reference_system(sites: int, eta: float) -> ChiralSystem:
     """System carrying the frozen calibrated normalization const / sites."""
-    return ChiralSystem(sites=sites, eta=eta, scale=SCALE_CONSTANT / sites)
+    system = ChiralSystem(sites=sites, eta=eta)  # validates sites before the division
+    return replace(system, scale=SCALE_CONSTANT / sites)
 
 
 def continuum_casimir_target(sites: int) -> float:

@@ -4,13 +4,16 @@ A :class:`HamiltonianSpec` carries a qubit count plus exactly one concrete
 representation: a real diagonal (every ring Hamiltonian in this package is
 diagonal in the computational basis) or a Pauli sum.  ``expectation`` and
 ``apply`` compute on one form, made once on first use: a real diagonal (the
-stored one, or a Pauli sum's when it has I/Z strings only), or else the flip
-rows <r|H|r ^ x>, one per flip mask x that occurs, summed from the Pauli
-strings, so a sparse operator costs O(flips * 2^n) per product.
-``ground_energy`` is a matrix-free Lanczos solve on ``apply`` (ARPACK; Lehoucq,
-Sorensen & Yang, SIAM 1998) unless the form is diagonal or small.  Dense
-matrices are only materialized up to ``DENSE_QUBIT_CAP`` qubits; diagonal
-forms stretch to ``RING_QUBIT_CAP``.  A dense matrix enters the package only
+stored one, or a Pauli sum's when it has I/Z strings only), or else a CSR
+matrix of the nonzero entries <r|H|r ^ x>, one per flip mask x that occurs,
+summed from the Pauli strings, so a sparse operator costs O(nonzeros) per
+product.  ``ground_energy`` is the lowest Ritz value of the plain three-term
+Lanczos recurrence on ``apply`` (Lanczos, J. Res. NBS 45, 255, 1950; Paige,
+Linear Algebra Appl. 34, 235, 1980, shows that without reorthogonalization
+its extreme Ritz values stay accurate), stopped once that value's residual
+is at rounding level, unless the form is diagonal or small.  Dense matrices
+are only materialized up to ``DENSE_QUBIT_CAP`` qubits; diagonal forms
+stretch to ``RING_QUBIT_CAP``.  A dense matrix enters the package only
 through :func:`ringcasimir.pauli.decompose`.
 """
 
@@ -30,9 +33,14 @@ __all__ = ["HamiltonianSpec", "DENSE_QUBIT_CAP", "RING_QUBIT_CAP", "CapacityErro
 RING_QUBIT_CAP = 16
 
 # Up to this dimension dense eigvalsh beats Lanczos.  Dense vs Lanczos on random 20-string
-# Pauli sums (2 cores, numpy 2.4.6, scipy 1.17.1): 1.8 vs 8.2 ms at 128, 15 vs 18 at 256,
-# 65 vs 31 at 512; on the 8-qubit chiral sum, 19 vs 7.3 ms.
+# Pauli sums (median of 5, 2 cores, numpy 2.4.6, scipy 1.17.1): 1.5 vs 5.3 ms at 128,
+# 9.7 vs 18 at 256, 50 vs 41 at 512; on the 8-qubit chiral sum, 8.2 vs 1.3 ms.
 _DENSE_SOLVE_DIM = 128
+
+# The Lanczos recurrence finds T's lowest eigenpair every _CHECK_EVERY steps (every
+# _CHECK_EVERY * (step // 64) past step 64, so the O(step^3) checks stay a fraction of the
+# run) and stops at a residual of _ROUNDING * ||T||; past _LANCZOS_STEPS, eigvalsh takes over.
+_CHECK_EVERY, _LANCZOS_STEPS, _ROUNDING = 8, 512, 16 * np.finfo(float).eps
 
 
 @dataclass
@@ -75,40 +83,40 @@ class HamiltonianSpec:
 
     @cached_property
     def _form(self):
-        """The real 1-D diagonal, or the ``(gather, rows)`` flip rows with
-        (H psi)[r] = sum_k rows[k, r] psi[gather[k, r]], of every exact product."""
+        """The real 1-D diagonal, or the ``scipy.sparse.csr_matrix`` of the
+        nonzero flip-row entries, kept in flip-mask order within each row, so
+        a product sums them in the order the flip rows were built."""
         if self.diagonal is not None:
             return self.diagonal
         if _pauli.is_diagonal(self.pauli):
             _require_cap(self.qubits, RING_QUBIT_CAP, "diagonal")
             return _pauli.diagonal_part(self.pauli)
         _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
+        # Imported here: a diagonal or ring Hamiltonian never needs it.
+        from scipy.sparse import csr_matrix
+
         flips, rows = _pauli._flip_rows(self.pauli)
-        return np.arange(self.dim) ^ flips[:, None], rows  # [k, r] -> r ^ flips[k]
+        r, k = np.nonzero(rows.T)  # row-major, flip masks in order within a row
+        indptr = np.append(0, np.cumsum(np.count_nonzero(rows, axis=0)))
+        return csr_matrix((rows[k, r], r ^ flips[k], indptr), shape=(self.dim, self.dim))
 
     def expectation(self, state: np.ndarray) -> float:
         """<state| H |state> for a normalized state of dimension ``2**qubits``."""
         state, form = self._vector(state), self._form
-        if isinstance(form, tuple):
-            return float(np.vdot(state, self.apply(state)).real)
-        return float(form @ (state.real**2 + state.imag**2))
+        if isinstance(form, np.ndarray):
+            return float(form @ (state.real**2 + state.imag**2))
+        return float(np.vdot(state, form @ state).real)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """H|state> as a new vector."""
         state, form = self._vector(state), self._form
-        if isinstance(form, tuple):
-            gather, rows = form
-            return np.einsum("kr,kr->r", rows, state[gather])
-        return form * state
+        return form * state if isinstance(form, np.ndarray) else form @ state
 
     def as_matrix(self) -> np.ndarray:
         """Dense Hermitian matrix, materialized below the cap."""
         _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
         form = self._form
-        if isinstance(form, tuple):
-            gather, rows = form
-            return _pauli._scatter(gather[:, 0], rows)  # gather[k, 0] = flips[k]
-        return np.diag(form.astype(complex))
+        return np.diag(form.astype(complex)) if isinstance(form, np.ndarray) else form.toarray()
 
     def as_pauli(self):
         """The :class:`ringcasimir.pauli.PauliSum` form, decomposed on demand."""
@@ -116,22 +124,30 @@ class HamiltonianSpec:
 
     def ground_energy(self) -> float:
         """Lowest eigenvalue: the minimum of a diagonal form; else, above
-        ``_DENSE_SOLVE_DIM``, <v|H|v> of the lowest Lanczos vector v of ``apply``
-        from a fixed-seed complex normal start, which overlaps every symmetry
-        sector and repeats bit for bit; else, or if ARPACK does not converge,
-        dense ``eigvalsh``."""
-        form = self._form
-        if not isinstance(form, tuple):
-            return float(form.min())
+        ``_DENSE_SOLVE_DIM``, the lowest Ritz value of the tridiagonal T of the
+        Lanczos recurrence beta_j q_(j+1) = H q_j - alpha_j q_j - beta_(j-1) q_(j-1)
+        on ``apply``, from a fixed-seed complex normal q_1 that overlaps every
+        symmetry sector and repeats bit for bit, once the residual beta_j |s_j|
+        of T's lowest eigenvector s is at rounding level (beta_j = 0 when the
+        Krylov space is invariant); else, or if ``_LANCZOS_STEPS`` steps do not
+        get there, dense ``eigvalsh``."""
+        if isinstance(self._form, np.ndarray):
+            return float(self._form.min())
         if self.dim > _DENSE_SOLVE_DIM:
-            # Imported here: only this solve needs ARPACK, whose load takes 0.3 s.
-            from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
             start = np.random.default_rng(0).standard_normal((2, self.dim))
-            operator = LinearOperator((self.dim, self.dim), matvec=self.apply, dtype=complex)
-            try:
-                v = eigsh(operator, k=1, which="SA", tol=0, v0=start[0] + 1j * start[1])[1][:, 0]
-                return self.expectation(v / np.linalg.norm(v))
-            except ArpackNoConvergence:
-                pass
+            q = start[0] + 1j * start[1]
+            q /= np.linalg.norm(q)
+            previous, alpha, beta, bound = np.zeros_like(q), [], [0.0], 0.0
+            for step in range(1, _LANCZOS_STEPS + 1):
+                w = self.apply(q)
+                alpha.append(np.vdot(q, w).real)
+                w -= alpha[-1] * q
+                w -= beta[-1] * previous
+                beta.append(np.linalg.norm(w))
+                bound = max(bound, abs(alpha[-1]) + beta[-2] + beta[-1])  # Gershgorin, >= ||T||
+                if step % (_CHECK_EVERY * max(1, step // 64)) == 0 or beta[-1] <= bound * _ROUNDING:
+                    ritz, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[1:-1], -1))
+                    if beta[-1] * abs(s[-1, 0]) <= bound * _ROUNDING:
+                        return float(ritz[0])
+                previous, q = q, w / beta[-1]
         return float(np.linalg.eigvalsh(self.as_matrix())[0])

@@ -92,11 +92,12 @@ class ModeFamily:
     def from_label(cls, label: str, sites: int) -> "ModeFamily":
         try:
             stat_s, bc_s = label.split("-")
-            return cls(Statistics(stat_s), Boundary(bc_s), sites)
+            statistics, boundary = Statistics(stat_s), Boundary(bc_s)
         except ValueError:
             raise ValueError(
                 f"unknown family {label!r}; expected one of {sorted(FAMILY_LABELS)}"
             ) from None
+        return cls(statistics, boundary, sites)
 
 
 FAMILY_LABELS = tuple(

@@ -243,19 +243,15 @@ def _flip_rows(p: PauliSum):
     return flips, rows
 
 
-def _scatter(flips: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The dense matrix of the flip rows: <r|H|r ^ flips[k]> = rows[k, r]."""
-    idx = np.arange(rows.shape[1])
-    out = np.zeros((idx.size, idx.size), dtype=complex)
-    out[idx, idx ^ flips[:, None]] = rows
-    return out
-
-
 def reconstruct(p: PauliSum) -> np.ndarray:
     """Dense matrix sum(c_P P) up to ``DENSE_QUBIT_CAP`` qubits; inverse of
     :func:`decompose` at drop_tol 0."""
     _require_cap(p.qubits, DENSE_QUBIT_CAP, "dense")
-    return _scatter(*_flip_rows(p))
+    flips, rows = _flip_rows(p)
+    idx = np.arange(rows.shape[1])
+    out = np.zeros((idx.size, idx.size), dtype=complex)
+    out[idx, idx ^ flips[:, None]] = rows  # <r|H|r ^ flips[k]> = rows[k, r]
+    return out
 
 
 def term_count(label: str, N: int) -> int:

@@ -246,8 +246,9 @@ def _energy_and_gradient(h: HamiltonianSpec, parameters, depth: int, ansatz: str
     undone with one phase vector, an RY block qubit by qubit, except the
     first block, after which nothing is read."""
     phi = ansatz_state(parameters, h.qubits, depth, ansatz)
-    lam = h.apply(phi)  # expectation(phi) on flip rows is this vdot; a diagonal rounds otherwise
-    energy = float(np.vdot(phi, lam).real) if isinstance(h._form, tuple) else h.expectation(phi)
+    lam = h.apply(phi)  # expectation(phi) on the CSR form is this vdot; a diagonal rounds otherwise
+    diagonal = isinstance(h._form, np.ndarray)
+    energy = h.expectation(phi) if diagonal else float(np.vdot(phi, lam).real)
     lam, phi = pair = np.stack([lam, phi])  # views into the one stack
     z, flips = _bit_tables(h.qubits)
     gradient = np.empty(len(parameters))

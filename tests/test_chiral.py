@@ -258,7 +258,7 @@ def test_bulk_density_is_finite_at_huge_eta():
 
 
 def test_import_loads_no_quadrature_optimizer_or_sparse():
-    # Only vqe.minimize and the Lanczos ground energy import these.
+    # Only vqe.minimize and the CSR form of a non-diagonal spec import these.
     src = Path(__file__).resolve().parent.parent / "src"
     modules = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
     code = f"import ringcasimir, sys; print(*(m in sys.modules for m in {modules}))"
@@ -388,6 +388,9 @@ def test_chiral_system_validation():
             block(1)
     with pytest.raises(ValueError):
         ChiralSystem(1, 1.0)
+    for sites in (0, 1, -3):
+        with pytest.raises(ValueError, match=rf"^sites must be >= 2, got {sites}$"):
+            reference_system(sites, 10.0)
     with pytest.raises(ValueError):
         ChiralSystem(6, 0.5)
     with pytest.raises(ValueError):

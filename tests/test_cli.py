@@ -451,6 +451,24 @@ def test_usage_errors(capsys, tmp_path):
                  ["exact", "--family", "boson-periodic", "--json", str(tmp_path)]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:")
+    for argv in (["exact", "--chiral", "--sites", "0"], ["vqe", "--chiral", "--sites", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: sites must be >= 2, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--family", "boson-periodic", "--sites", "0"],
+    ["exact", "--family", "fermion-twisted", "--sites", "-1"],
+    ["export", "--family", "boson-periodic", "--sites", "0", "--out", "h.pauli"],
+    ["vqe", "--family", "combined-periodic", "--sites", "-1"],
+])
+def test_bad_site_count_names_the_sites_not_the_family(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"error: sites must be >= 1, got {argv[4]}\n"
+    assert not (tmp_path / "h.pauli").exists()
 
 
 def test_outdir_env_var(capsys, tmp_path, monkeypatch):

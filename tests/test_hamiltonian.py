@@ -4,12 +4,11 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from ringcasimir import pauli, vqe
+from ringcasimir import hamiltonian, pauli, vqe
 from ringcasimir.chiral import (
     ChiralSystem,
     dirac_sea_energy,
@@ -138,11 +137,7 @@ def confined_pauli_sum(rng, qubits, flipped):
 
 
 def _components(spec):
-    gather, rows = spec._form
-    k, r = np.nonzero(rows)
-    graph = np.zeros((spec.dim, spec.dim))
-    graph[r, gather[k, r]] = 1.0
-    return connected_components(graph, directed=False)[0]
+    return connected_components(abs(spec._form), directed=False)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,15 +223,52 @@ def test_sum_of_x_on_twelve_qubits_reaches_minus_twelve():
 
 def test_unconverged_lanczos_falls_back_to_the_dense_solve(monkeypatch):
     p = lanczos_case("random", 8)
-
-    def give_up(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
-                                                      np.empty((256, 0)))
-
-    # ground_energy imports eigsh at call time, so it finds the patched one.
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", give_up)
+    monkeypatch.setattr(hamiltonian, "_LANCZOS_STEPS", 2)
     expected = float(np.linalg.eigvalsh(reconstruct(p))[0])
     assert HamiltonianSpec(qubits=8, pauli=p).ground_energy() == expected
+
+
+def _counted_ground_energy(spec):
+    """``(ground_energy(), number of apply calls it made)``."""
+    calls, apply = [], spec.apply
+    spec.apply = lambda state: calls.append(None) or apply(state)
+    return spec.ground_energy(), len(calls)
+
+
+@pytest.mark.parametrize(("sites", "products"), [(5, 56), (6, 88)])
+def test_chiral_lanczos_product_count_repeats(sites, products):
+    t = single_particle_matrix(ChiralSystem(sites, 10.0))
+    for _ in range(2):
+        energy, count = _counted_ground_energy(jordan_wigner_hamiltonian(t))
+        assert count == products
+        assert abs(energy - dirac_sea_energy(t)) <= 1e-12
+
+
+def _einsum_apply(p, state):
+    """The flip-row product the CSR form replaced: (H psi)[r] = sum_k rows[k, r]
+    psi[r ^ flips[k]], summed over k by einsum."""
+    flips, rows = pauli._flip_rows(p)
+    return np.einsum("kr,kr->r", rows, state[np.arange(state.size) ^ flips[:, None]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(st.just("random"), st.integers(1, 10)),
+                 st.tuples(st.just("chiral"), st.integers(2, 6))),
+       st.integers(0, 2**32 - 1))
+def test_csr_products_equal_the_einsum_flip_rows_bit_for_bit(case, seed):
+    kind, size = case
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        spec = HamiltonianSpec(qubits=size, pauli=random_pauli_sum(rng, size, False))
+    else:
+        spec = jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(size, 10.0)))
+    for _ in range(3):
+        psi = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        psi /= np.linalg.norm(psi)
+        oracle = _einsum_apply(spec.pauli, psi)
+        assert np.array_equal(spec.apply(psi), oracle)
+        assert spec.expectation(psi) == float(np.vdot(psi, oracle).real)
+    assert np.array_equal(spec.as_matrix(), reconstruct(spec.pauli))
 
 
 @pytest.mark.parametrize("qubits", [3, 9], ids=["3-pauli", "9-pauli"])

@@ -274,6 +274,14 @@ def test_family_label_round_trip():
         ModeFamily(Statistics.BOSON, Boundary.PERIODIC, 0)
 
 
+@pytest.mark.parametrize("sites", [0, -1])
+def test_family_label_with_bad_sites_names_the_sites(sites):
+    with pytest.raises(ValueError, match=rf"^sites must be >= 1, got {sites}$"):
+        ModeFamily.from_label("boson-periodic", sites)
+    with pytest.raises(ValueError, match="unknown family 'anyon-periodic'"):
+        ModeFamily.from_label("anyon-periodic", sites)
+
+
 def test_percent_difference_sign_convention():
     assert percent_difference(-0.0428, -0.0429) == pytest.approx(-0.23310, abs=1e-4)
     assert math.isnan(percent_difference(1.0, 0.0))
