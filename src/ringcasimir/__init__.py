@@ -8,6 +8,8 @@ Dirac-sea evaluation and Jordan-Wigner mapping.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .chiral import (
     ChiralSystem,
     DispersionPoint,
@@ -68,56 +70,6 @@ from .vqe import (
     run_vqe,
 )
 
-__all__ = [
-    "__version__",
-    "Boundary",
-    "CapacityError",
-    "CasimirReport",
-    "ChiralSystem",
-    "DispersionPoint",
-    "HamiltonianSpec",
-    "ModeFamily",
-    "Optimizer",
-    "PauliFormatError",
-    "PauliSum",
-    "Statistics",
-    "VqeConfig",
-    "VqeResult",
-    "ansatz_state",
-    "ansatz_state_phased",
-    "boson_lower",
-    "bulk_density",
-    "calibrate_scale_constant",
-    "casimir_exact",
-    "chiral_casimir",
-    "continuum_casimir_target",
-    "continuum_density",
-    "coupling_matrix",
-    "decompose",
-    "decompose_diagonal",
-    "dirac_sea_energy",
-    "dispersion",
-    "dispersion_table",
-    "expectation",
-    "fermion_lower",
-    "hermitian_eigen",
-    "jordan_wigner_hamiltonian",
-    "kinetic_block",
-    "kron_chain",
-    "large_n_series",
-    "minimize",
-    "mode_frequency",
-    "mode_hamiltonian",
-    "mode_sum_energy",
-    "parse",
-    "partitioned_run",
-    "reconstruct",
-    "reference_system",
-    "ring_hamiltonian",
-    "run_vqe",
-    "serialize",
-    "single_particle_matrix",
-    "subtraction_constant",
-    "term_count",
-    "wilson_block",
-]
+# Every imported name but the submodules, which the imports bind as well.
+__all__ = ["__version__", *sorted(name for name, value in globals().items()
+                                  if not name.startswith("_") and not isinstance(value, _ModuleType))]

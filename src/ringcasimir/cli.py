@@ -25,7 +25,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .chiral import (
@@ -94,6 +93,7 @@ def _write(raw: str, text: str, command: str, config: dict) -> Path:
 
 
 def _write_manifest(path: Path, command: str, config: dict) -> None:
+    import scipy  # here, not at module level: only a written file needs its version
     clean = {
         k: v
         for k, v in config.items()
@@ -185,10 +185,10 @@ def cmd_exact(args) -> int:
         return EXIT_OK
 
     sweep = _parse_sweep(args.sweep) if args.sweep else [args.sites]
+    families = [ModeFamily.from_label(args.family, n) for n in sweep]  # validate before printing
     rows = []
     print("n  energy  subtraction" if not args.no_correction else "n  energy")
-    for n in sweep:
-        family = ModeFamily.from_label(args.family, n)
+    for n, family in zip(sweep, families):
         correction = subtraction_constant(family.statistics)
         energy = mode_sum_energy(family) if args.no_correction else casimir_exact(family)
         rows.append(

@@ -11,10 +11,10 @@ product.  ``ground_energy`` is the lowest Ritz value of the plain three-term
 Lanczos recurrence on ``apply`` (Lanczos, J. Res. NBS 45, 255, 1950; Paige,
 Linear Algebra Appl. 34, 235, 1980, shows that without reorthogonalization
 its extreme Ritz values stay accurate), stopped once that value's residual
-is at rounding level, unless the form is diagonal or small.  Dense matrices
-are only materialized up to ``DENSE_QUBIT_CAP`` qubits; diagonal forms
-stretch to ``RING_QUBIT_CAP``.  A dense matrix enters the package only
-through :func:`ringcasimir.pauli.decompose`.
+is at rounding level, unless the spec is diagonal or small.  Diagonal forms
+stretch to ``RING_QUBIT_CAP`` qubits, dense matrices to ``DENSE_QUBIT_CAP``:
+one enters only through :func:`ringcasimir.pauli.decompose`, and a Pauli sum
+becomes one only through :func:`ringcasimir.pauli.reconstruct`.
 """
 
 from __future__ import annotations
@@ -113,10 +113,11 @@ class HamiltonianSpec:
         return form * state if isinstance(form, np.ndarray) else form @ state
 
     def as_matrix(self) -> np.ndarray:
-        """Dense Hermitian matrix, materialized below the cap."""
+        """Dense Hermitian matrix below the cap; a Pauli sum's is ``pauli.reconstruct``."""
+        if self.pauli is not None:
+            return _pauli.reconstruct(self.pauli)
         _require_cap(self.qubits, DENSE_QUBIT_CAP, "dense")
-        form = self._form
-        return np.diag(form.astype(complex)) if isinstance(form, np.ndarray) else form.toarray()
+        return np.diag(self.diagonal.astype(complex))
 
     def as_pauli(self):
         """The :class:`ringcasimir.pauli.PauliSum` form, decomposed on demand."""
@@ -130,10 +131,11 @@ class HamiltonianSpec:
         symmetry sector and repeats bit for bit, once the residual beta_j |s_j|
         of T's lowest eigenvector s is at rounding level (beta_j = 0 when the
         Krylov space is invariant); else, or if ``_LANCZOS_STEPS`` steps do not
-        get there, dense ``eigvalsh``."""
-        if isinstance(self._form, np.ndarray):
+        get there, dense ``eigvalsh`` of :meth:`as_matrix`, which builds no CSR form."""
+        if self.diagonal is not None or _pauli.is_diagonal(self.pauli):
             return float(self._form.min())
         if self.dim > _DENSE_SOLVE_DIM:
+            self._form  # the dense cap fires here, before a 2**qubits start vector
             start = np.random.default_rng(0).standard_normal((2, self.dim))
             q = start[0] + 1j * start[1]
             q /= np.linalg.norm(q)

@@ -269,6 +269,18 @@ def test_import_loads_no_quadrature_optimizer_or_sparse():
     assert out.split() == ["False"] * len(modules)
 
 
+def test_cli_import_loads_no_scipy():
+    # The CLI imports scipy only to write its version into a manifest.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import ringcasimir.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=os.environ | {"PYTHONPATH": str(src)},
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_bulk_density_grows_with_eta():
     assert bulk_density(10.0) < bulk_density(2.0) < bulk_density(1.0) < 0.0
 

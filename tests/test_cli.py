@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +243,22 @@ def test_diagonal_pauli_file_above_cap_exit_code(capsys, tmp_path):
             assert code == 4 and cap in err, (qubits, command, err)
 
 
+def test_exact_from_small_pauli_file_loads_no_sparse(tmp_path):
+    # At or below the dense-solve size, the ground energy densifies the sum
+    # with pauli.reconstruct and never builds the CSR form.
+    path = tmp_path / "xx.pauli"
+    path.write_text("qubits 2\n0.5 XX\n0.25 ZI\n")
+    code = ("import sys; from ringcasimir.cli import main; "
+            f"code = main(['exact', '--from-file', {str(path)!r}]); "
+            "print('scipy.sparse' in sys.modules, code)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=os.environ | {"PYTHONPATH": str(src)},
+    ).stdout
+    assert out == "qubits 2\nground_energy -0.5590169943749475\nFalse 0\n"
+
+
 def test_export_import_round_trip(capsys, tmp_path):
     path = tmp_path / "fp1.pauli"
     code, out, _ = run_cli(
@@ -465,8 +485,9 @@ def test_usage_errors(capsys, tmp_path):
 ])
 def test_bad_site_count_names_the_sites_not_the_family(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err == f"error: sites must be >= 1, got {argv[4]}\n"
     assert not (tmp_path / "h.pauli").exists()
 

@@ -268,13 +268,20 @@ def test_csr_products_equal_the_einsum_flip_rows_bit_for_bit(case, seed):
         oracle = _einsum_apply(spec.pauli, psi)
         assert np.array_equal(spec.apply(psi), oracle)
         assert spec.expectation(psi) == float(np.vdot(psi, oracle).real)
-    assert np.array_equal(spec.as_matrix(), reconstruct(spec.pauli))
+    assert np.array_equal(spec._form.toarray(), reconstruct(spec.pauli))
 
 
 @pytest.mark.parametrize("qubits", [3, 9], ids=["3-pauli", "9-pauli"])
 def test_flip_rows_are_built_once(monkeypatch, qubits):
+    # Products share one CSR form; the dense matrix, and the dense solve at or
+    # below _DENSE_SOLVE_DIM, come from reconstruct and never build that form.
     p = random_pauli_sum(np.random.default_rng(5), qubits, False)
     spec = HamiltonianSpec(qubits=qubits, pauli=p)
+    dense_solve = spec.dim <= hamiltonian._DENSE_SOLVE_DIM
+    spec.as_matrix()
+    if dense_solve:
+        spec.ground_energy()
+    assert "_form" not in vars(spec)
     build, calls = pauli._flip_rows, []
     monkeypatch.setattr(pauli, "_flip_rows", lambda q: calls.append(q) or build(q))
     _forbid(monkeypatch, "reconstruct")
@@ -282,8 +289,8 @@ def test_flip_rows_are_built_once(monkeypatch, qubits):
     for _ in range(25):
         spec.expectation(psi)
         spec.apply(psi)
-        spec.ground_energy()
-        spec.as_matrix()
+        if not dense_solve:
+            spec.ground_energy()
     assert len(calls) == 1 and calls[0] is spec.pauli
 
 

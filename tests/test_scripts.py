@@ -1,12 +1,34 @@
 import csv
 import json
 import runpy
+import types
 from pathlib import Path
 
 import ringcasimir
 from ringcasimir import vqe
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# The names the scripts and users import from the package top level, in order.
+EXPORTS = [
+    "__version__", "Boundary", "CapacityError", "CasimirReport", "ChiralSystem",
+    "DispersionPoint", "HamiltonianSpec", "ModeFamily", "Optimizer", "PauliFormatError",
+    "PauliSum", "Statistics", "VqeConfig", "VqeResult", "ansatz_state",
+    "ansatz_state_phased", "boson_lower", "bulk_density", "calibrate_scale_constant",
+    "casimir_exact", "chiral_casimir", "continuum_casimir_target", "continuum_density",
+    "coupling_matrix", "decompose", "decompose_diagonal", "dirac_sea_energy", "dispersion",
+    "dispersion_table", "expectation", "fermion_lower", "hermitian_eigen",
+    "jordan_wigner_hamiltonian", "kinetic_block", "kron_chain", "large_n_series", "minimize",
+    "mode_frequency", "mode_hamiltonian", "mode_sum_energy", "parse", "partitioned_run",
+    "reconstruct", "reference_system", "ring_hamiltonian", "run_vqe", "serialize",
+    "single_particle_matrix", "subtraction_constant", "term_count", "wilson_block",
+]
+
+
+def test_export_list_is_pinned():
+    assert ringcasimir.__all__ == EXPORTS
+    for name in EXPORTS:
+        assert not isinstance(getattr(ringcasimir, name), types.ModuleType), name
 
 
 def test_scripts_write_their_files(tmp_path, monkeypatch):
