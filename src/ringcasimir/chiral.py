@@ -249,11 +249,12 @@ def calibrate_scale_constant(
     proceeding silently.
     """
     raw = dirac_sea_energy(single_particle_matrix(ChiralSystem(sites, eta, 1.0)))
-    if raw >= -1e-9 or reference_energy >= 0.0:
+    const = sites * reference_energy / raw if raw < -1e-9 else math.nan
+    if not (math.isfinite(const) and const > 0.0):  # NaN and infinities included
         raise CalibrationError(
             f"no scale of the form const/sites maps raw sea {raw!r} onto {reference_energy!r}"
         )
-    return sites * reference_energy / raw
+    return const
 
 
 def reference_system(sites: int, eta: float) -> ChiralSystem:

@@ -83,37 +83,27 @@ def _json(obj) -> str:
 def _write(raw: str, text: str, command: str, config: dict) -> Path:
     """Write ``text`` to ``raw`` (relative paths resolve against
     $RINGCASIMIR_OUTDIR) together with its manifest sidecar."""
+    import scipy  # here, not at module level: only a written file needs its version
     path = Path(raw)
     if not path.is_absolute():
         path = Path(os.environ.get("RINGCASIMIR_OUTDIR", ".")) / path
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-    _write_manifest(path, command, config)
-    return path
-
-
-def _write_manifest(path: Path, command: str, config: dict) -> None:
-    import scipy  # here, not at module level: only a written file needs its version
-    clean = {
-        k: v
-        for k, v in config.items()
-        if k not in ("fn", "needs_selector")
-        and isinstance(v, (str, int, float, bool, type(None)))
-    }
     manifest = {
         "command": command,
-        "config": clean,
+        "config": {k: v for k, v in config.items()
+                   if isinstance(v, (str, int, float, bool, type(None)))},
         "artifact_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    manifest_path = path.with_name(path.name + ".manifest.json")
-    manifest_path.write_text(_json(manifest) + "\n")
+    path.with_name(path.name + ".manifest.json").write_text(_json(manifest) + "\n")
+    return path
 
 
-def _fmt(value: float, full: bool) -> str:
-    return repr(float(value)) if full else f"{value:.6g}"
+def _fmt(value: float, full: bool, spec: str = ".6g") -> str:
+    return repr(float(value)) if full else format(value, spec)
 
 
 def _parse_sweep(text: str):
@@ -146,7 +136,7 @@ def _chiral_system(args) -> ChiralSystem:
 
 def cmd_exact(args) -> int:
     full = args.full_precision
-    if args.from_file:
+    if args.from_file is not None:
         spec = _pauli_file_spec(args.from_file)
         report = {"qubits": spec.qubits, "ground_energy": spec.ground_energy()}
         print(f"qubits {spec.qubits}")
@@ -175,10 +165,8 @@ def cmd_exact(args) -> int:
             "continuum_target": continuum_casimir_target(system.sites),
         }
         print(f"sites {system.sites}  eta {_fmt(system.eta, full)}  scale {_fmt(system.scale, full)}")
-        print(f"dirac_sea_energy {_fmt(sea, full)}")
-        print(f"subtraction {_fmt(subtraction, full)}")
-        print(f"casimir {_fmt(report['casimir'], full)}")
-        print(f"continuum_target {_fmt(report['continuum_target'], full)}")
+        for key in ("dirac_sea_energy", "subtraction", "casimir", "continuum_target"):
+            print(f"{key} {_fmt(report[key], full)}")
         if args.json:
             _write(args.json, _json(report) + "\n", "exact",
                    vars(args) | {"resolved_scale": system.scale})
@@ -189,57 +177,28 @@ def cmd_exact(args) -> int:
     rows = []
     print("n  energy  subtraction" if not args.no_correction else "n  energy")
     for n, family in zip(sweep, families):
-        correction = subtraction_constant(family.statistics)
+        correction = None if args.no_correction else subtraction_constant(family.statistics)
         energy = mode_sum_energy(family) if args.no_correction else casimir_exact(family)
-        rows.append(
-            {
-                "family": family.label,
-                "sites": n,
-                "exact_energy": energy,
-                "subtraction": None if args.no_correction else correction,
-            }
-        )
-        if args.no_correction:
-            print(f"{n}  {energy:.4f}" if not full else f"{n}  {energy!r}")
-        else:
-            line = f"{n}  {energy:.4f}  {_fmt(correction, False)}"
-            print(line if not full else f"{n}  {energy!r}  {correction!r}")
+        rows.append({"family": family.label, "sites": n, "exact_energy": energy,
+                     "subtraction": correction})
+        cells = [str(n), _fmt(energy, full, ".4f")]
+        print("  ".join(cells if correction is None else [*cells, _fmt(correction, full)]))
     if args.json:
         _write(args.json, _json(rows) + "\n", "exact", vars(args))
     return EXIT_OK
 
 
-def _result_record(args, family_label, sites, exact, vqe_energy, pct,
-                   iterations, evaluations, converged):
-    return {
-        "family": family_label,
-        "sites": sites,
-        "exact_energy": exact,
-        "vqe_energy": vqe_energy,
-        "percent_difference": pct,
-        "iterations": iterations,
-        "evaluations": evaluations,
-        "optimizer": args.optimizer,
-        "seed": args.seed,
-        "converged": converged,
-    }
-
-
 def cmd_vqe(args) -> int:
     cfg = _vqe_config(args)
+    extra = {}
     if args.family:
         family = ModeFamily.from_label(args.family, args.sites)
         report = partitioned_run(family, cfg)
-        converged = all(r.converged for r in report.mode_results)
-        trace_rows = combined_trace(report)
-        record = _result_record(
-            args, family.label, family.sites, report.exact_energy,
-            report.vqe_energy, report.percent_difference,
-            len(trace_rows), sum(r.evaluations for r in report.mode_results), converged,
-        )
-        record["per_mode_energies"] = [float(e) for e in report.per_mode_energies]
+        label, sites, exact = family.label, family.sites, report.exact_energy
+        energy, results, trace_rows = report.vqe_energy, report.mode_results, combined_trace(report)
+        extra["per_mode_energies"] = [float(e) for e in report.per_mode_energies]
     else:
-        if args.from_file:
+        if args.from_file is not None:
             spec = _pauli_file_spec(args.from_file)
             label, sites, exact = f"file:{args.from_file}", spec.qubits, spec.ground_energy()
         else:
@@ -248,12 +207,21 @@ def cmd_vqe(args) -> int:
             spec = jordan_wigner_hamiltonian(t)
             label, sites, exact = f"chiral eta={system.eta}", system.sites, dirac_sea_energy(t)
         result = run_vqe(spec, cfg)
-        converged, trace_rows = result.converged, result.trace
-        record = _result_record(
-            args, label, sites, exact, result.energy, percent_difference(result.energy, exact),
-            len(trace_rows), result.evaluations, converged,
-        )
-
+        energy, results, trace_rows = result.energy, [result], result.trace
+    converged = all(r.converged for r in results)
+    record = {
+        "family": label,
+        "sites": sites,
+        "exact_energy": exact,
+        "vqe_energy": energy,
+        "percent_difference": percent_difference(energy, exact),
+        "iterations": len(trace_rows),
+        "evaluations": sum(r.evaluations for r in results),
+        "optimizer": args.optimizer,
+        "seed": args.seed,
+        "converged": converged,
+        **extra,
+    }
     print(_json(record))
     if args.json:
         _write(args.json, _json(record) + "\n", "vqe", vars(args))
@@ -316,7 +284,35 @@ def cmd_dispersion(args) -> int:
     return EXIT_OK
 
 
-def _add_vqe_flags(p: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ringcasimir",
+        description="Casimir-energy workbench for lattice ring fields",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    shared = argparse.ArgumentParser(add_help=False)  # what `exact` and `vqe` run on
+    selector = shared.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--family", choices=list(FAMILY_LABELS))
+    selector.add_argument("--chiral", action="store_true")
+    selector.add_argument("--from-file", help="a Pauli text file")
+    shared.add_argument("--sites", type=int, default=None, help="lattice sites (default: 1)")
+    shared.add_argument("--eta", type=float, default=None, help="chiral deformation (default: 1)")
+    shared.add_argument("--scale", type=float, default=None,
+                        help="chiral normalization (default: calibrated const/sites)")
+
+    p = sub.add_parser("exact", parents=[shared],
+                       help="exact mode-sum energies / chiral Dirac sea")
+    p.add_argument("--subtraction", type=float, default=None)
+    p.add_argument("--sweep", help="range of sites, e.g. 1..8")
+    p.add_argument("--no-correction", action="store_true",
+                   help="print the raw mode sum without the subtraction constant")
+    p.add_argument("--json", help="also write the rows or report as JSON")
+    p.add_argument("--full-precision", action="store_true")
+    p.set_defaults(fn=cmd_exact)
+
+    p = sub.add_parser("vqe", parents=[shared], help="variational ground-state runs")
     p.add_argument("--depth", type=int, default=0, help="entangling-layer count")
     p.add_argument("--optimizer", choices=[o.value for o in Optimizer], default="linear")
     p.add_argument("--max-iterations", type=int, default=500)
@@ -327,43 +323,9 @@ def _add_vqe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ansatz", choices=ANSATZE, default="ry")
     p.add_argument("--init-spread", type=float, default=0.1,
                    help="half-width of the uniform initial-parameter window")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ringcasimir",
-        description="Casimir-energy workbench for lattice ring fields",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exact", help="exact mode-sum energies / chiral Dirac sea")
-    p.add_argument("--family", choices=list(FAMILY_LABELS))
-    p.add_argument("--chiral", action="store_true")
-    p.add_argument("--from-file", help="ground energy of a Pauli text file")
-    p.add_argument("--sites", type=int, default=None, help="lattice sites (default: 1)")
-    p.add_argument("--eta", type=float, default=None, help="chiral deformation (default: 1)")
-    p.add_argument("--scale", type=float, default=None,
-                   help="chiral normalization (default: calibrated const/sites)")
-    p.add_argument("--subtraction", type=float, default=None)
-    p.add_argument("--sweep", help="range of sites, e.g. 1..8")
-    p.add_argument("--no-correction", action="store_true",
-                   help="print the raw mode sum without the subtraction constant")
-    p.add_argument("--json", help="also write the rows or report as JSON")
-    p.add_argument("--full-precision", action="store_true")
-    p.set_defaults(fn=cmd_exact, needs_selector=True)
-
-    p = sub.add_parser("vqe", help="variational ground-state runs")
-    p.add_argument("--family", choices=list(FAMILY_LABELS))
-    p.add_argument("--chiral", action="store_true")
-    p.add_argument("--from-file", help="run on a Pauli text file")
-    p.add_argument("--sites", type=int, default=None, help="lattice sites (default: 1)")
-    p.add_argument("--eta", type=float, default=None, help="chiral deformation (default: 1)")
-    p.add_argument("--scale", type=float, default=None)
-    _add_vqe_flags(p)
     p.add_argument("--json", help="write the result record JSON here")
     p.add_argument("--trace", help="write the convergence CSV here")
-    p.set_defaults(fn=cmd_vqe, needs_selector=True)
+    p.set_defaults(fn=cmd_vqe)
 
     p = sub.add_parser("export", help="write a ring Hamiltonian as Pauli text")
     p.add_argument("--family", choices=list(FAMILY_LABELS), required=True)
@@ -399,19 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "needs_selector", False):
-        chosen = (args.family, args.chiral, getattr(args, "from_file", None))
-        if sum(map(bool, chosen)) != 1:
-            parser.error("choose exactly one of --family / --chiral / --from-file")
+    if args.command in ("exact", "vqe"):
         for dest, owners in _SELECTOR_FLAGS.items():
             value = getattr(args, dest, None)
             given = value is not None and value is not False
             if given and not any(getattr(args, o) for o in owners):
                 owned = " or ".join(f"--{o}" for o in owners)
                 parser.error(f"--{dest.replace('_', '-')} only applies with {owned}")
+        if getattr(args, "sweep", None) and args.sites is not None:
+            parser.error("--sites does not apply with --sweep, which gives the sites")
         if args.chiral and args.eta is None:
             args.eta = 1.0
-        if not args.from_file and args.sites is None:
+        if args.from_file is None and args.sites is None:
             args.sites = 1
     try:
         return args.fn(args)

@@ -26,7 +26,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import pauli as _pauli
-from .operators import DENSE_QUBIT_CAP, CapacityError, _require_cap
+from .operators import DENSE_QUBIT_CAP, CapacityError, _real_array, _require_cap
 
 __all__ = ["HamiltonianSpec", "DENSE_QUBIT_CAP", "RING_QUBIT_CAP", "CapacityError"]
 
@@ -63,7 +63,7 @@ class HamiltonianSpec:
         if given != 1:
             raise ValueError(f"HamiltonianSpec needs exactly one of diagonal or pauli; got {given}")
         if self.diagonal is not None:
-            self.diagonal = np.asarray(self.diagonal, dtype=float)
+            self.diagonal = _real_array(self.diagonal)
             if self.diagonal.shape != (self.dim,):
                 raise ValueError(f"diagonal length {self.diagonal.shape} != {self.dim}")
             if not np.all(np.isfinite(self.diagonal)):

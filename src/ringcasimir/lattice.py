@@ -197,8 +197,8 @@ def large_n_series(family: ModeFamily, order: int) -> float:
 def continuum_density(family: ModeFamily, radius: float) -> float:
     """Continuum Casimir energy density on a spatial circle of ``radius``:
     the leading 1/N^2 coefficient of :func:`large_n_series` over radius^2."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     key = (family.statistics, family.boundary)
     if key not in _SERIES:
         raise ValueError("density is defined for the four boson/fermion families")

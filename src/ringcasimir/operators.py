@@ -132,6 +132,15 @@ def fermion_lower(mode: int, n_modes: int) -> np.ndarray:
     return _embed(FERMION_LOWER2, PAULI_Z, mode, n_modes)
 
 
+def _real_array(values) -> np.ndarray:
+    """``values`` as floats; a nonzero imaginary part is a ``ValueError``, where
+    a float cast would drop it with only a ``ComplexWarning``."""
+    a = np.asarray(values)
+    if np.iscomplexobj(a) and np.any(a.imag):
+        raise ValueError("expected real values, got a nonzero imaginary part")
+    return np.asarray(a.real, dtype=float)
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entry-wise deviation of ``m`` from its conjugate transpose;
     anything but a square 2-D array is a ``ValueError``."""

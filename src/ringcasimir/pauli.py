@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import DENSE_QUBIT_CAP, _require_cap, _require_small_defect, bit_parity
+from .operators import DENSE_QUBIT_CAP, _real_array, _require_cap, _require_small_defect, bit_parity
 
 __all__ = [
     "ALPHABET",
@@ -197,7 +197,7 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
 def decompose_diagonal(diagonal: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     """{I, Z}-only decomposition of a diagonal operator (2^n coefficients):
     the x = 0 row of :func:`decompose`, with no size cap."""
-    d = np.asarray(diagonal, dtype=float)
+    d = _real_array(diagonal)
     dim = d.shape[0]
     qubits = dim.bit_length() - 1
     if d.ndim != 1 or dim != 2**qubits or qubits < 1:

@@ -106,10 +106,14 @@ class VqeConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be a positive count, got {self.shots}")
+        if self.shots is not None and self.shots > np.iinfo(np.int64).max:  # numpy's binomial
+            raise ValueError(f"shots must be at most 2**63 - 1, got {self.shots}")
         if self.ansatz not in ANSATZE:
             raise ValueError(f"unknown ansatz {self.ansatz!r}; use one of {ANSATZE}")
         if not (math.isfinite(self.init_spread) and self.init_spread > 0):
             raise ValueError(f"init_spread must be positive and finite, got {self.init_spread}")
+        if self.init_spread > np.finfo(float).max / 2:  # the window 2 * spread overflows
+            raise ValueError(f"init_spread must be at most max float / 2, got {self.init_spread}")
 
 
 @dataclass

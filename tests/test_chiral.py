@@ -322,6 +322,13 @@ def test_calibration_failure_is_loud():
         calibrate_scale_constant(reference_energy=+1.0)
 
 
+@pytest.mark.parametrize("reference", [0.0, math.nan, -math.inf, math.inf, -1e308])
+def test_calibration_refuses_what_gives_no_finite_positive_scale(reference):
+    # -1e308 is finite, but sites * -1e308 overflows the constant to infinity
+    with pytest.raises(CalibrationError):
+        calibrate_scale_constant(reference_energy=reference)
+
+
 def test_reference_casimir_near_continuum_target():
     system = reference_system(REFERENCE_SITES, REFERENCE_ETA)
     casimir = chiral_casimir(system, REFERENCE_SUBTRACTION)

@@ -405,6 +405,74 @@ def test_data_files_are_byte_identical(capsys, tmp_path, argv):
     assert path.read_bytes() == GOLDEN_FILES[argv]
 
 
+# stdout pinned to the byte: the table and report formats of every precision flag.
+_TWISTED = ("exact", "--family", "boson-twisted", "--sweep", "1..3")
+_CHIRAL = ("exact", "--chiral", "--sites", "14", "--eta", "10")
+GOLDEN_STDOUT = {
+    _TWISTED: (
+        "n  energy  subtraction\n"
+        "1  0.1202  -2.54648\n"
+        "2  0.3479  -2.54648\n"
+        "3  0.3386  -2.54648\n"
+    ),
+    (*_TWISTED, "--no-correction"): (
+        "n  energy\n"
+        "1  2.6667\n"
+        "2  2.8944\n"
+        "3  2.8851\n"
+    ),
+    (*_TWISTED, "--full-precision"): (
+        "n  energy  subtraction\n"
+        "1  0.12018757719634099  -2.5464790894703255\n"
+        "2  0.34794810152959066  -2.5464790894703255\n"
+        "3  0.33861653311384865  -2.5464790894703255\n"
+    ),
+    (*_TWISTED, "--no-correction", "--full-precision"): (
+        "n  energy\n"
+        "1  2.6666666666666665\n"
+        "2  2.894427190999916\n"
+        "3  2.885095622584174\n"
+    ),
+    _CHIRAL: (
+        "sites 14  eta 10  scale 0.0528579\n"
+        "dirac_sea_energy -5.55434\n"
+        "subtraction -5.57572\n"
+        "casimir 0.0213818\n"
+        "continuum_target 0.0213714\n"
+    ),
+    (*_CHIRAL, "--full-precision"): (
+        "sites 14  eta 10.0  scale 0.05285791432429045\n"
+        "dirac_sea_energy -5.554335870000003\n"
+        "subtraction -5.57571769\n"
+        "casimir 0.021381819999997553\n"
+        "continuum_target 0.021371378595848933\n"
+    ),
+    ("vqe", "--family", "fermion-periodic", "--sites", "2"): (
+        '{\n'
+        '  "converged": true,\n'
+        '  "evaluations": 82,\n'
+        '  "exact_energy": 0.33732903892049215,\n'
+        '  "family": "fermion-periodic",\n'
+        '  "iterations": 19,\n'
+        '  "optimizer": "linear",\n'
+        '  "per_mode_energies": [\n'
+        '    -3.761825614671828,\n'
+        '    -6.086761704288983\n'
+        '  ],\n'
+        '  "percent_difference": 0.0,\n'
+        '  "seed": 7,\n'
+        '  "sites": 2,\n'
+        '  "vqe_energy": 0.33732903892049215\n'
+        '}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT))
+def test_stdout_is_byte_identical(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, GOLDEN_STDOUT[argv], "")
+
+
 def test_pauli_count_capacity_rows_na(capsys):
     code, out, _ = run_cli(capsys, "pauli-count", "--family", "boson-periodic", "--sites", "8..9")
     assert code == 0
@@ -455,12 +523,12 @@ def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--family", "anyon-periodic", "--sites", "1"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["exact"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["vqe", "--family", "boson-periodic", "--chiral"])
-    assert exc.value.code == 2
+    for argv in (["exact"], ["vqe"], ["vqe", "--family", "boson-periodic", "--chiral"],
+                 ["exact", "--chiral", "--from-file", str(tmp_path / "h.pauli")]):
+        with pytest.raises(SystemExit) as exc:  # no selector, or two
+            main(argv)
+        assert exc.value.code == 2
+        assert "--chiral" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--from-file", str(tmp_path / "h.pauli"), "--full-precision"])
     assert exc.value.code == 2
@@ -530,6 +598,32 @@ def test_flags_the_selector_ignores_are_refused(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "only applies with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--family", "boson-periodic", "--sites", "5", "--sweep", "1..2"],
+    ["exact", "--family", "boson-periodic", "--sweep", "1..2", "--sites", "2"],
+])
+def test_sites_next_to_sweep_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sites does not apply with --sweep" in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--init-spread", "8.99e307"),
+    ("--init-spread", "1e308"),
+    ("--shots", str(2**63)),
+    ("--shots", "100000000000000000000"),
+])
+def test_vqe_values_numpy_cannot_sample_are_usage_errors(capsys, flag, value):
+    code, out, err = run_cli(capsys, "vqe", "--family", "boson-periodic", "--sites", "1",
+                             flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be")
 
 
 def test_vqe_record_is_valid_json_when_exact_energy_is_zero(capsys, tmp_path):

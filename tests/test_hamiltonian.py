@@ -329,6 +329,13 @@ def test_builders_store_one_representation():
         assert (spec.diagonal is None) != (spec.pauli is None)
 
 
+def test_complex_diagonal_keeps_no_silent_imaginary_part():
+    with pytest.raises(ValueError, match="imaginary"):
+        HamiltonianSpec(qubits=1, diagonal=np.array([1 + 1j, 2]))
+    spec = HamiltonianSpec(qubits=1, diagonal=np.array([1 + 0j, 2]))
+    assert spec.diagonal.dtype == float and spec.diagonal.tolist() == [1.0, 2.0]
+
+
 def test_non_finite_matrix_rejected():
     """A matrix enters a spec only through ``decompose``, which refuses
     non-finite entries before any spec is built."""

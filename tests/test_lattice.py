@@ -160,8 +160,9 @@ def test_continuum_density():
     assert continuum_density(FP(1), 1.0) == pytest.approx(4.0 * math.pi / 6.0)
     assert continuum_density(BT(1), 2.0) == pytest.approx(math.pi / 48.0)
     assert continuum_density(FT(1), 1.0) == pytest.approx(-math.pi / 3.0)
-    with pytest.raises(ValueError):
-        continuum_density(BP(1), 0.0)
+    for radius in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            continuum_density(BP(1), radius)
     with pytest.raises(ValueError):
         continuum_density(CP(1), 1.0)
 

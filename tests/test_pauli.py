@@ -96,6 +96,9 @@ def test_decompose_errors():
     for bad in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [1.0, 2.0, -np.inf, 0.0]):
         with pytest.raises(ValueError, match="non-finite"):
             decompose_diagonal(np.array(bad))
+    with pytest.raises(ValueError, match="imaginary"):
+        decompose_diagonal(np.array([1 + 1j, 2]))
+    assert decompose_diagonal(np.array([1 + 0j, 2])) == decompose_diagonal(np.array([1.0, 2.0]))
 
 
 def structured_hermitian(rng, kind, qubits):

@@ -521,3 +521,15 @@ def test_vqe_config_validation():
             VqeConfig(tolerance=bad)
         with pytest.raises(ValueError, match="finite"):
             VqeConfig(init_spread=bad)
+
+
+def test_vqe_config_limits_are_what_numpy_can_sample():
+    # numpy's uniform needs a finite 2 * spread, and its binomial an int64 count
+    spec = HamiltonianSpec(qubits=1, diagonal=np.array([-1.0, 2.0]))
+    for cfg in (VqeConfig(init_spread=8.98e307, max_iterations=3),
+                VqeConfig(shots=2**63 - 1, max_iterations=3)):
+        assert math.isfinite(run_vqe(spec, cfg).energy)
+    with pytest.raises(ValueError, match="init_spread"):
+        VqeConfig(init_spread=8.99e307)
+    with pytest.raises(ValueError, match="shots"):
+        VqeConfig(shots=2**63)
