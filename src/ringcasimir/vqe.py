@@ -15,13 +15,14 @@ and products of two terms commute, and a complex number times a real one
 (zero imaginary part) rounds as the real product, with or without a fused
 multiply-add.  Only the sign of an exact zero can differ.
 
-Classical optimization is delegated to scipy.optimize: "linear" maps to
-COBYLA (derivative-free linear trust-region) and "quadratic" to SLSQP
-(quadratic model and line search; exact gradients from one adjoint walk
-back over the block list, finite differences with shots).  Every
-objective evaluation is recorded; the reported energy and parameters are
-the best evaluation seen, and the trace is the non-increasing best-so-far
-record.
+The "linear" optimizer is COBYLA (derivative-free linear trust region),
+the package's port of Powell's method with PRIMA's rules (``cobyla``;
+Zhang, doi:10.5281/zenodo.8052654), which evaluates the points that scipy
+1.17.1's COBYLA evaluates.  "quadratic" is scipy's SLSQP (quadratic model
+and line search; exact gradients from one adjoint walk back over the
+block list, finite differences with shots).  Every objective evaluation
+is recorded; the reported energy and parameters are the best evaluation
+seen, and the trace is the non-increasing best-so-far record.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hamiltonian import CapacityError, HamiltonianSpec
+from .cobyla import cobyla
+from .hamiltonian import DENSE_QUBIT_CAP, CapacityError, HamiltonianSpec
 from .lattice import (
     CasimirReport,
     ModeFamily,
@@ -71,9 +73,6 @@ class Optimizer(enum.Enum):
     QUADRATIC = "quadratic"
 
 
-_SCIPY_METHOD = {Optimizer.LINEAR: "COBYLA", Optimizer.QUADRATIC: "SLSQP"}
-
-
 @dataclass(frozen=True)
 class VqeConfig:
     """Run configuration.
@@ -104,6 +103,8 @@ class VqeConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if self.optimizer is Optimizer.LINEAR and self.tolerance > 1:  # COBYLA's rho_beg
+            raise ValueError(f"tolerance must be at most 1 for the linear optimizer, got {self.tolerance}")
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be a positive count, got {self.shots}")
         if self.shots is not None and self.shots > np.iinfo(np.int64).max:  # numpy's binomial
@@ -130,10 +131,6 @@ class VqeResult:
     trace: list
     evaluations: int
     converged: bool
-
-
-class _BudgetSpent(Exception):
-    """COBYLA asked for more than ``max_iterations`` evaluations."""
 
 
 @lru_cache(maxsize=None)
@@ -274,14 +271,21 @@ def _energy_and_gradient(h: HamiltonianSpec, parameters, depth: int, ansatz: str
 def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig, jac: bool = False) -> VqeResult:
     """Minimize ``objective`` from ``x0`` under the configured optimizer.
 
-    Returns the best *evaluated* point together with the full improving-
-    evaluation trace; ``converged`` is False when the iteration budget ran
-    out before the optimizer's own stopping rule fired.  COBYLA's budget
-    counts evaluations and is cut off at ``max_iterations`` exactly.  With
+    "linear" runs :func:`cobyla.cobyla`, the package's port of Powell's
+    COBYLA with PRIMA's rules (Zhang, doi:10.5281/zenodo.8052654), which
+    evaluates the points that scipy 1.17.1's COBYLA evaluates; its budget
+    counts evaluations and stops at ``max_iterations`` exactly.  "quadratic"
+    runs scipy's SLSQP.  Returns the best *evaluated* point together with
+    the full improving-evaluation trace; ``converged`` is False when the
+    budget ran out before the optimizer's own stopping rule fired.  With
     ``jac=True`` the objective returns ``(energy, gradient)`` for SLSQP
     (COBYLA raises ``ValueError``); best point and trace follow the energy.
+    More than 2^DENSE_QUBIT_CAP parameters raise :class:`CapacityError`:
+    both optimizers keep n x n matrices.
     """
     x0 = np.asarray(x0, dtype=float)
+    if x0.size > 2**DENSE_QUBIT_CAP:
+        raise CapacityError(f"{x0.size} parameters exceed the {2**DENSE_QUBIT_CAP}-parameter cap")
     best = {"fun": math.inf, "x": x0.copy()}
     trace: list = []
     evaluations = [0]
@@ -290,8 +294,6 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig, jac: bool = Fa
         raise ValueError("jac=True needs the quadratic optimizer; COBYLA takes no gradient")
 
     def wrapped(x):
-        if linear and evaluations[0] >= cfg.max_iterations:
-            raise _BudgetSpent
         out = objective(np.asarray(x, dtype=float))
         value = float(out[0] if jac else out)
         evaluations[0] += 1
@@ -301,17 +303,21 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig, jac: bool = Fa
             trace.append((evaluations[0], value))
         return (value, out[1]) if jac else value
 
-    # COBYLA refuses a budget below the n + 2 points of its first simplex.
-    maxiter = max(cfg.max_iterations, x0.size + 2) if linear else cfg.max_iterations
-    # Imported here so that commands which never optimize skip its 0.5 s load.
-    from scipy.optimize import minimize as scipy_minimize
-    try:
-        # scipy maps tol onto COBYLA's "tol" and SLSQP's "ftol".
-        result = scipy_minimize(wrapped, x0, method=_SCIPY_METHOD[cfg.optimizer], jac=jac,
-                                tol=cfg.tolerance, options={"maxiter": maxiter})
-        converged = bool(result.success)
-    except _BudgetSpent:
+    if linear:
         converged = False
+        steps = cobyla(x0, cfg.tolerance, cfg.max_iterations)
+        try:
+            x = next(steps)
+            while evaluations[0] < cfg.max_iterations:
+                x = steps.send(wrapped(x))
+        except StopIteration as stop:
+            converged = stop.value
+    else:
+        # Imported here so that runs without SLSQP skip its 0.5 s load.
+        from scipy.optimize import minimize as scipy_minimize
+        result = scipy_minimize(wrapped, x0, method="SLSQP", jac=jac, tol=cfg.tolerance,
+                                options={"maxiter": cfg.max_iterations})
+        converged = bool(result.success)
     return VqeResult(energy=best["fun"], parameters=best["x"], trace=trace,
                      evaluations=evaluations[0], converged=converged)
 

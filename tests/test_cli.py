@@ -259,6 +259,26 @@ def test_exact_from_small_pauli_file_loads_no_sparse(tmp_path):
     assert out == "qubits 2\nground_energy -0.5590169943749475\nFalse 0\n"
 
 
+def test_linear_vqe_loads_no_scipy():
+    # COBYLA is the package's own; a run that writes no file imports no scipy at all.
+    code = ("import sys; from ringcasimir.cli import main; "
+            "code = main(['vqe', '--family', 'fermion-periodic', '--sites', '2']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), code)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=os.environ | {"PYTHONPATH": str(src)},
+    ).stdout
+    assert out.splitlines()[-1] == "[] 0"
+
+
+def test_vqe_parameter_count_over_the_cap_exits_4(capsys):
+    # 2 qubits at depth 2048 take 4098 parameters; nothing is evaluated
+    code, out, err = run_cli(capsys, "vqe", "--family", "boson-periodic", "--depth", "2048")
+    assert code == 4 and out == ""
+    assert err == "error: 4098 parameters exceed the 4096-parameter cap\n"
+
+
 def test_export_import_round_trip(capsys, tmp_path):
     path = tmp_path / "fp1.pauli"
     code, out, _ = run_cli(
@@ -543,6 +563,9 @@ def test_usage_errors(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: sites must be >= 2, got 0\n"
+    code, out, err = run_cli(capsys, "vqe", "--family", "fermion-periodic", "--tolerance", "2")
+    assert code == 2 and out == ""
+    assert err == "error: tolerance must be at most 1 for the linear optimizer, got 2.0\n"
 
 
 @pytest.mark.parametrize("argv", [

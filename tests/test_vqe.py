@@ -13,7 +13,7 @@ from ringcasimir.chiral import (
     jordan_wigner_hamiltonian,
     single_particle_matrix,
 )
-from ringcasimir.hamiltonian import CapacityError, HamiltonianSpec
+from ringcasimir.hamiltonian import DENSE_QUBIT_CAP, CapacityError, HamiltonianSpec
 from ringcasimir.lattice import (
     ModeFamily,
     casimir_exact,
@@ -404,6 +404,16 @@ def test_run_vqe_capacity():
         run_vqe(spec)
 
 
+@pytest.mark.parametrize("optimizer", list(Optimizer))
+def test_minimize_caps_the_parameter_count(optimizer):
+    # Both optimizers keep n x n matrices: 4096^2 floats are 134 MB.
+    def objective(x):
+        pytest.fail("the objective ran past the parameter cap")
+
+    with pytest.raises(CapacityError, match="4097 parameters"):
+        minimize(objective, np.zeros(2**DENSE_QUBIT_CAP + 1), VqeConfig(optimizer=optimizer))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from(["boson-periodic", "boson-twisted", "fermion-periodic", "fermion-twisted"]),
@@ -521,6 +531,11 @@ def test_vqe_config_validation():
             VqeConfig(tolerance=bad)
         with pytest.raises(ValueError, match="finite"):
             VqeConfig(init_spread=bad)
+    # COBYLA's start radius is 1, and its final radius cannot exceed it; SLSQP takes any ftol
+    with pytest.raises(ValueError, match="at most 1"):
+        VqeConfig(tolerance=1.0 + 2.0**-52)
+    assert VqeConfig(tolerance=1.0).tolerance == 1.0
+    assert VqeConfig(optimizer=Optimizer.QUADRATIC, tolerance=2.0).tolerance == 2.0
 
 
 def test_vqe_config_limits_are_what_numpy_can_sample():
