@@ -120,3 +120,18 @@ def test_one_parameter_problem_matches_scipy():
     values, converged = assert_same_run(lambda x: float((x[0] - 2.0) ** 2), np.array([0.0]),
                                         VqeConfig(tolerance=1e-10))
     assert converged and min(values) < 1e-18
+
+
+_BOWL = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+
+
+@pytest.mark.parametrize("objective", [
+    lambda x: math.inf if x[0] > 0.6 else float(x @ _BOWL @ x),  # +inf meets the barrier
+    lambda x: -math.inf if x[0] > 1.0 else float(x @ _BOWL @ x),  # -inf is clipped
+    lambda x: 1e-200 * float((x - 0.3) @ _BOWL @ (x - 0.3)),  # planerot's rescaled branch
+    lambda x: 1e13 * float((x - 0.3) @ _BOWL @ (x - 0.3)),  # g scaled down past 1e12
+    lambda x: float(np.abs(x - 0.2).sum()),  # kinks: the pole vertex gets replaced too
+    lambda x: float(0.5 * x[1] - x[0]),  # unbounded: the radius keeps growing
+], ids=["inf", "minus-inf", "tiny", "huge-gradient", "kinks", "unbounded"])
+def test_extreme_objectives_match_scipy(objective):
+    assert_same_run(objective, np.array([0.1, -0.2, 0.3]), VqeConfig(max_iterations=100))
