@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy._lib.pyprima.cobyla import geometry, trustregion, update
 
+from ringcasimir import cobyla as port
 from ringcasimir.chiral import jordan_wigner_hamiltonian, reference_system, single_particle_matrix
-from ringcasimir.lattice import ModeFamily, ring_hamiltonian
-from ringcasimir.vqe import VqeConfig, ansatz_state, minimize, n_parameters
+from ringcasimir.lattice import ModeFamily, mode_hamiltonian, ring_hamiltonian
+from ringcasimir.vqe import VqeConfig, ansatz_state, minimize, n_parameters, run_vqe
 
 
 class _Cut(Exception):
@@ -67,12 +69,27 @@ def ansatz_energy(spec, depth, ansatz="ry"):
 @pytest.mark.parametrize("label, sites, depth, seed", [
     ("boson-periodic", 2, 0, 11), ("fermion-twisted", 3, 0, 12), ("boson-twisted", 1, 1, 13),
     ("fermion-periodic", 4, 1, 14), ("boson-periodic", 3, 2, 15), ("fermion-twisted", 2, 2, 16),
+    ("boson-periodic", 4, 2, 17),  # criterion 4's largest cell: 24 parameters
 ])
 def test_criterion_4_cells_match_scipy(label, sites, depth, seed):
     spec = ring_hamiltonian(ModeFamily.from_label(label, sites))
     cfg = VqeConfig(depth=depth, max_iterations=60, seed=seed)
     x0 = np.random.default_rng(seed).uniform(-0.1, 0.1, n_parameters(spec.qubits, depth))
     assert_same_run(ansatz_energy(spec, depth), x0, cfg)
+
+
+@pytest.mark.parametrize("label, sites", [
+    ("boson-periodic", 3), ("boson-twisted", 8), ("fermion-periodic", 8), ("fermion-twisted", 5),
+])
+def test_criterion_3_mode_runs_match_scipy(label, sites):
+    # partitioned_run's mode runs: the default VqeConfig, mode k seeded 7 + k;
+    # a boson mode takes 2 parameters, a fermion mode 1
+    family = ModeFamily.from_label(label, sites)
+    for k in range(sites):
+        spec, cfg = mode_hamiltonian(family, k + 1), VqeConfig(seed=7 + k)
+        x0 = np.random.default_rng(cfg.seed).uniform(-cfg.init_spread, cfg.init_spread,
+                                                     n_parameters(spec.qubits, cfg.depth))
+        assert_same_run(ansatz_energy(spec, cfg.depth), x0, cfg)
 
 
 def test_chiral_pauli_spec_with_phases_matches_scipy():
@@ -135,3 +152,142 @@ _BOWL = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
 ], ids=["inf", "minus-inf", "tiny", "huge-gradient", "kinks", "unbounded"])
 def test_extreme_objectives_match_scipy(objective):
     assert_same_run(objective, np.array([0.1, -0.2, 0.3]), VqeConfig(max_iterations=100))
+
+
+def test_criterion_4_run_checks_the_inverse_once_per_simplex_change(monkeypatch):
+    # 75 checks: 1 before the loop, 1 for each of the 55 vertices that the
+    # loop's points replaced and 1 for each of 19 pole moves.  Repeating
+    # PRIMA's checks at each iteration and each reduction of rho, on a
+    # simplex already checked, made 154.
+    calls = []
+    settle = port._settle
+
+    def counting(*args):
+        calls.append(args)
+        return settle(*args)
+
+    monkeypatch.setattr(port, "_settle", counting)
+    result = run_vqe(ring_hamiltonian(ModeFamily.from_label("fermion-twisted", 2)),
+                     VqeConfig(depth=1, max_iterations=60, seed=5))
+    assert (result.evaluations, len(calls)) == (60, 75)
+
+
+# Helper-level oracles: pyprima's own functions with no constraints, on
+# random simplices in PRIMA's layout (vertices minus the pole, then the pole)
+# whose stored inverse is exact, off by more than 0.1 or more than 1, holds
+# NaN, or belongs to a simplex too ill-conditioned for any inverse to pass.
+SPOILS = ("exact", "off-0.3", "off-3", "nan")
+
+
+def spoiled_simplex(n, seed, spoil):
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n, n))
+    if spoil == "damaged":
+        u, _, vt = np.linalg.svd(dirs)
+        dirs = u @ np.diag(np.logspace(0, -17, n)) @ vt
+    sim = np.column_stack([dirs, rng.normal(size=n)])
+    simi = np.linalg.inv(dirs)
+    if spoil.startswith("off-"):
+        simi = (np.eye(n) + float(spoil[4:])) @ simi
+    if spoil == "nan":
+        simi[n // 2, 0] = math.nan
+    return sim, simi, rng.normal(size=n + 1)
+
+
+def no_constraints(n):
+    return {"conmat": np.zeros((0, n + 1)), "cval": np.zeros(n + 1)}
+
+
+def assert_same_simplex(ours, ok, ref, ref_info):
+    assert ok == (ref_info == 0)
+    if ok:  # PRIMA restores the simplex that it refuses; the port stops the run
+        for mine, theirs in zip(ours, ref):
+            assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("spoil", SPOILS)
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2), (5, 3), (8, 4)])
+def test_updatepole_matches_pyprima(n, seed, spoil):
+    sim, simi, fval = spoiled_simplex(n, seed, spoil)
+    fval[n] = fval.max() + 1  # the pole is the worst vertex, so it moves
+    _, _, ref_fval, ref_sim, ref_simi, info = update.updatepole(
+        port.EPS, fval=fval.copy(), sim=sim.copy(), simi=simi.copy(), **no_constraints(n))
+    simi, ok = port._updatepole(fval, sim[:, :n], sim[:, n], simi, np.eye(n))
+    assert_same_simplex((fval, sim, simi), ok, (ref_fval, ref_sim, ref_simi), info)
+    assert ok
+
+
+@pytest.mark.parametrize("spoil", SPOILS)
+@pytest.mark.parametrize("n, seed", [(1, 5), (2, 6), (3, 7), (5, 8)])
+def test_inverse_check_matches_pyprima_where_the_pole_stays(n, seed, spoil):
+    # The port's _updatepole leaves a pole that stays to the check its
+    # caller made; that check is PRIMA's, and a repeat returns its verdict.
+    sim, simi, fval = spoiled_simplex(n, seed, spoil)
+    fval[n] = fval.min() - 1
+    _, _, ref_fval, ref_sim, ref_simi, info = update.updatepole(
+        port.EPS, fval=fval.copy(), sim=sim.copy(), simi=simi.copy(), **no_constraints(n))
+    assert port._updatepole(fval, sim[:, :n], sim[:, n], simi, np.eye(n)) == (simi, True)
+    checked, ok = port._settle(simi, sim[:, :n], np.eye(n))
+    assert_same_simplex((fval, sim, checked), ok, (ref_fval, ref_sim, ref_simi), info)
+    again, ok_again = port._settle(checked, sim[:, :n], np.eye(n))
+    assert ok_again == ok and np.array_equal(again, checked, equal_nan=True)
+
+
+@pytest.mark.parametrize("spoil", SPOILS)
+@pytest.mark.parametrize("n, seed", [(1, 9), (2, 10), (3, 11), (5, 12)])
+def test_updatexfc_matches_pyprima(n, seed, spoil):
+    for jdrop in range(n + 1):  # n: the pole itself moves by d
+        sim, simi, fval = spoiled_simplex(n, seed + 100 * jdrop, spoil)
+        rng = np.random.default_rng(seed)
+        d, f = rng.normal(size=n), float(fval.min() + rng.normal())
+        ref_sim, ref_simi, ref_fval, _, _, info = update.updatexfc(
+            jdrop, np.zeros(0), port.EPS, 0.0, d, f, fval=fval.copy(), sim=sim.copy(),
+            simi=simi.copy(), **no_constraints(n))
+        simi, ok = port._updatexfc(jdrop, d, f, fval, sim[:, :n], sim[:, n], simi, np.eye(n))
+        assert_same_simplex((fval, sim, simi), ok, (ref_fval, ref_sim, ref_simi), info)
+
+
+@pytest.mark.parametrize("spoil", ("exact", "nan"))
+@pytest.mark.parametrize("n, seed", [(1, 13), (2, 14), (3, 15), (5, 16), (8, 17)])
+def test_setdrop_tr_matches_pyprima(n, seed, spoil):
+    sim, simi, _ = spoiled_simplex(n, seed, spoil)
+    rng = np.random.default_rng(seed)
+    for ximproved in (True, False):
+        for d, delta, rho in [(rng.normal(size=n), 1.0, 0.5), (1e-3 * rng.normal(size=n), 0.1, 0.1),
+                              (np.zeros(n), 1.0, 1.0)]:
+            ref = geometry.setdrop_tr(ximproved, d, delta, rho, sim, simi)
+            assert port._setdrop_tr(ximproved, d, delta, rho, sim[:, :n], simi) == ref
+
+
+def gradients(n, rng):
+    g = rng.normal(size=n)
+    sparse, noisy, nan_first, nan_last = g.copy(), g.copy(), g.copy(), 1e13 * g
+    sparse[::2] = 0.0
+    noisy[n // 2] = 1e-17 * g[0]  # rounding noise next to g[0]: isminor
+    nan_first[0] = math.nan  # Python's max keeps a NaN met first ...
+    nan_last[-1] = math.nan  # ... and skips one met later, so this g is scaled
+    return [g, 1e-200 * g, 1e13 * g, 1e300 * g, sparse, noisy, np.zeros(n), nan_first, nan_last]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 24])
+def test_trstlp_matches_pyprima(n):
+    for g in gradients(n, np.random.default_rng(n)):
+        for delta in (1.0, 1e-3):
+            ref = trustregion.trstlp(np.zeros((n, 0)), np.zeros(0), delta, g.copy())
+            assert np.array_equal(port._trstlp(g, delta, np.eye(n)), ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("n, seed", [(2, 2), (3, 6), (5, 3), (8, 4)])
+def test_damaging_rounding_matches_pyprima(n, seed):
+    # singular values from 1 down to 1e-17: neither the stored inverse nor
+    # np.linalg.inv passes the check, so both refuse the simplex
+    for stays in (True, False):
+        sim, simi, fval = spoiled_simplex(n, seed, "damaged")
+        fval[n] = fval.min() - 1 if stays else fval.max() + 1
+        *_, info = update.updatepole(port.EPS, fval=fval.copy(), sim=sim.copy(), simi=simi.copy(),
+                                     **no_constraints(n))
+        if stays:
+            _, ok = port._settle(simi, sim[:, :n], np.eye(n))
+        else:
+            _, ok = port._updatepole(fval, sim[:, :n], sim[:, n], simi, np.eye(n))
+        assert info != 0 and not ok
