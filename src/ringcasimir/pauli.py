@@ -126,6 +126,15 @@ class PauliSum:
         return tuple(_each_action(self))
 
 
+def _checked_sum(qubits: int, terms: list) -> PauliSum:
+    """The sum of ``terms``, each already passed by :func:`_check_term`,
+    built without ``__post_init__`` checking them a second time."""
+    p = object.__new__(PauliSum)
+    object.__setattr__(p, "qubits", qubits)
+    object.__setattr__(p, "terms", tuple(sorted(terms, key=_term_key)))
+    return p
+
+
 def _letters(x: np.ndarray, z: np.ndarray, qubits: int) -> list:
     """The strings of the mask arrays ``x`` and ``z``, leftmost letter on
     the most significant bit."""
@@ -346,4 +355,4 @@ def parse(text: str) -> PauliSum:
         terms.append((coefficient, fields[1]))
     if qubits is None:
         raise PauliFormatError(1, "missing 'qubits <n>' header")
-    return PauliSum(qubits, tuple(terms))
+    return _checked_sum(qubits, terms)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringcasimir import pauli
 from ringcasimir.chiral import jordan_wigner_hamiltonian
 from ringcasimir.lattice import ModeFamily, mode_hamiltonian, ring_hamiltonian
 from ringcasimir.operators import (
@@ -361,6 +362,15 @@ def test_parse_rejections():
         parse("qubits 0\n")
     with pytest.raises(PauliFormatError, match="line 2: expected '<coefficient> <string>'"):
         parse("qubits 1\n1.0 Z extra\n")
+
+
+def test_parse_checks_each_term_once(monkeypatch):
+    checked = []
+    check = pauli._check_term
+    monkeypatch.setattr(pauli, "_check_term", lambda *args: checked.append(args[1]) or check(*args))
+    p = parse("qubits 2\n0.25 II\n# note\n-1.0 YY\n0.5 XZ\n")
+    assert checked == ["II", "YY", "XZ"]
+    assert p.terms == ((-1.0, "YY"), (0.5, "XZ"), (0.25, "II"))
 
 
 def test_term_count_invariant_under_round_trip():
