@@ -402,6 +402,27 @@ GOLDEN_FILES = {
         b"7,14,15\n"
         b"8,16,17\n"
     ),
+    ("export", "--family", "combined-periodic", "--sites", "2", "--with-correction"): (
+        b"# ringcasimir pauli v1\n"
+        b"qubits 6\n"
+        b"17.488024587371786 IIIIII\n"
+        b"-6.086761704288982 IIIIIZ\n"
+        b"-3.761825614671828 IIIIZI\n"
+        b"-3.043380852144491 IIZIII\n"
+        b"-1.880912807335914 ZIIIII\n"
+        b"-1.521690426072247 IIIZII\n"
+        b"-0.9404564036679572 IZIIII\n"
+    ),
+    # 3N qubits per combined ring, NA past the ring cap
+    ("pauli-count", "--family", "combined-twisted", "--sites", "1..6"): (
+        b"sites,qubits,terms\n"
+        b"1,3,4\n"
+        b"2,6,7\n"
+        b"3,9,10\n"
+        b"4,12,13\n"
+        b"5,15,16\n"
+        b"6,NA,NA\n"
+    ),
 }
 
 
@@ -466,6 +487,19 @@ GOLDEN_STDOUT = {
         "subtraction -5.57571769\n"
         "casimir 0.021381819999997553\n"
         "continuum_target 0.021371378595848933\n"
+    ),
+    ("exact", "--family", "combined-twisted", "--sweep", "1..3", "--full-precision"): (
+        "n  energy  subtraction\n"
+        "1  -0.36056273158902385  7.639437268410976\n"
+        "2  -1.043844304588772  7.639437268410976\n"
+        "3  -1.0158495993415464  7.639437268410976\n"
+    ),
+    ("exact", "--family", "fermion-periodic", "--sweep", "1..3", "--no-correction",
+     "--full-precision"): (
+        "n  energy\n"
+        "1  -9.237604307034012\n"
+        "2  -9.84858731896081\n"
+        "3  -10.014368611508166\n"
     ),
     ("vqe", "--family", "fermion-periodic", "--sites", "2"): (
         '{\n'
