@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +80,8 @@ class ModeFamily:
 
     @property
     def qubits(self) -> int:
-        """Qubits of the assembled ring register (2 per boson mode, 1 per
-        fermion mode)."""
-        n = self.sites
-        if self.statistics is Statistics.BOSON:
-            return 2 * n
-        if self.statistics is Statistics.FERMION:
-            return n
-        return 3 * n
+        """Qubits of the assembled ring register (2 per boson mode, 1 per fermion mode)."""
+        return _QUBITS[self.statistics] * self.sites
 
     @classmethod
     def from_label(cls, label: str, sites: int) -> "ModeFamily":
@@ -105,27 +100,27 @@ FAMILY_LABELS = tuple(
 )
 
 
-def _prefactor(statistics: Statistics, sites: int) -> float:
-    """Boson or fermion prefactor; mode_frequency refuses the combined family."""
-    if statistics is Statistics.BOSON:
-        return 8.0 / (2 * sites + 1)
-    return 32.0 / (2 * sites + 1)
+# One rule per statistics: qubits per mode, prefactor numerator over 2N+1, subtraction
+# constant, and a mode's levels in units of omega (the lowest is the vacuum share).
+_Rule = namedtuple("_Rule", "qubits prefactor subtraction levels")
+_RULES = {
+    Statistics.BOSON: _Rule(2, 8.0, -8.0 / math.pi, np.arange(4, dtype=float) + 0.5),
+    Statistics.FERMION: _Rule(1, 32.0, 32.0 / math.pi, np.arange(2, dtype=float) - 0.5),
+}
+# Member statistics of each family in register order, and their sums from 0:
+# -8/pi + 32/pi rounds to the same double as 24/pi.
+_MEMBERS = {s: (s,) for s in _RULES} | {Statistics.COMBINED: tuple(_RULES)}
+_QUBITS = {s: sum(_RULES[m].qubits for m in ms) for s, ms in _MEMBERS.items()}
+_SUBTRACTION = {s: sum(_RULES[m].subtraction for m in ms) for s, ms in _MEMBERS.items()}
 
 
 def _constituents(family: ModeFamily):
-    if family.statistics is Statistics.COMBINED:
-        return (
-            ModeFamily(Statistics.BOSON, family.boundary, family.sites),
-            ModeFamily(Statistics.FERMION, family.boundary, family.sites),
-        )
-    return (family,)
+    return [ModeFamily(s, family.boundary, family.sites) for s in _MEMBERS[family.statistics]]
 
 
 def _modes(family: ModeFamily):
     """(member, i) for every mode, in register order (bosons first)."""
-    for member in _constituents(family):
-        for i in range(1, member.sites + 1):
-            yield member, i
+    return ((m, i) for m in _constituents(family) for i in range(1, m.sites + 1))
 
 
 def mode_frequency(family: ModeFamily, i: int) -> float:
@@ -136,16 +131,12 @@ def mode_frequency(family: ModeFamily, i: int) -> float:
         raise ValueError(f"mode index {i} outside 1..{family.sites}")
     shift = 0.0 if family.boundary is Boundary.PERIODIC else 0.5
     theta = 2.0 * math.pi * (i + shift) / (4 * family.sites + 2)
-    return _prefactor(family.statistics, family.sites) * 2.0 * math.sin(theta)
+    return _RULES[family.statistics].prefactor / (2 * family.sites + 1) * 2.0 * math.sin(theta)
 
 
 def subtraction_constant(statistics: Statistics) -> float:
     """Signed regularization constant, to be *added* to the raw mode sum."""
-    if statistics is Statistics.BOSON:
-        return -8.0 / math.pi
-    if statistics is Statistics.FERMION:
-        return 32.0 / math.pi
-    return 24.0 / math.pi
+    return _SUBTRACTION[statistics]
 
 
 def mode_sum_energy(family: ModeFamily) -> float:
@@ -154,10 +145,9 @@ def mode_sum_energy(family: ModeFamily) -> float:
     Bosons contribute +omega/2 per mode, fermions -omega/2 (filled Dirac
     sea of the single-mode Hamiltonians).
     """
-    if family.statistics is Statistics.COMBINED:
-        return sum(mode_sum_energy(f) for f in _constituents(family))
-    sign = 0.5 if family.statistics is Statistics.BOSON else -0.5
-    return sign * sum(mode_frequency(family, i) for i in range(1, family.sites + 1))
+    return sum(float(_RULES[m.statistics].levels[0])
+               * sum(mode_frequency(m, i) for i in range(1, m.sites + 1))
+               for m in _constituents(family))
 
 
 def casimir_exact(family: ModeFamily) -> float:
@@ -205,12 +195,6 @@ def continuum_density(family: ModeFamily, radius: float) -> float:
     return _SERIES[key][0] / radius**2
 
 
-def _mode_diagonal(statistics: Statistics, omega: float) -> np.ndarray:
-    if statistics is Statistics.BOSON:
-        return omega * (np.arange(4, dtype=float) + 0.5)
-    return omega * (np.arange(2, dtype=float) - 0.5)
-
-
 def mode_hamiltonian(family: ModeFamily, i: int) -> HamiltonianSpec:
     """Single-mode Hamiltonian: omega (n_hat + 1/2) on two qubits for a boson
     mode, omega (n_hat - 1/2) on one qubit for a fermion mode.
@@ -219,10 +203,8 @@ def mode_hamiltonian(family: ModeFamily, i: int) -> HamiltonianSpec:
     """
     if family.statistics is Statistics.COMBINED:
         raise ValueError("combined family: build the boson and fermion modes separately")
-    omega = mode_frequency(family, i)
-    diag = _mode_diagonal(family.statistics, omega)
-    qubits = 2 if family.statistics is Statistics.BOSON else 1
-    return HamiltonianSpec(qubits=qubits, diagonal=diag)
+    rule = _RULES[family.statistics]
+    return HamiltonianSpec(qubits=rule.qubits, diagonal=mode_frequency(family, i) * rule.levels)
 
 
 def ring_hamiltonian(family: ModeFamily) -> HamiltonianSpec:
@@ -241,8 +223,7 @@ def ring_hamiltonian(family: ModeFamily) -> HamiltonianSpec:
         )
     diag = np.zeros(1)
     for member, i in _modes(family):
-        omega = mode_frequency(member, i)
-        diag = np.add.outer(diag, _mode_diagonal(member.statistics, omega)).ravel()
+        diag = np.add.outer(diag, mode_frequency(member, i) * _RULES[member.statistics].levels).ravel()
     return HamiltonianSpec(qubits=qubits, diagonal=diag)
 
 

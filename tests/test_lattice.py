@@ -114,6 +114,16 @@ def test_combined_is_sum_of_constituents():
         assert combined == pytest.approx(-3.0 * casimir_exact(BP(n)), rel=1e-12)
 
 
+def test_combined_family_is_its_members_in_register_order():
+    # bit for bit: the raw sum adds the boson, then the fermion half-sum to 0
+    for bc in (Boundary.PERIODIC, Boundary.TWISTED):
+        for n in (1, 2, 5, 64):
+            b, f, c = (ModeFamily(s, bc, n) for s in Statistics)
+            assert mode_sum_energy(c) == 0 + mode_sum_energy(b) + mode_sum_energy(f)
+            assert c.qubits == b.qubits + f.qubits == 3 * n
+    assert subtraction_constant(Statistics.COMBINED).hex() == (24.0 / math.pi).hex()
+
+
 def test_large_n_series_values():
     assert large_n_series(BP(10), 2) == pytest.approx(-math.pi / 600.0, rel=1e-14)
     assert large_n_series(FP(10), 2) == pytest.approx(4.0 * math.pi / 600.0, rel=1e-14)
