@@ -136,10 +136,14 @@ def _value_at(x, dirs, pole, fval, distsq, tiny):
 
 def _settle(simi, dirs, eye):
     """PRIMA's inverse check: ``np.linalg.inv`` replaces ``simi`` if that is
-    closer when ``simi @ dirs`` is off by more than 0.1; False past 1."""
+    closer when ``simi @ dirs`` is off by more than 0.1; False past 1.  An
+    exactly singular ``dirs`` has no inverse, so ``simi`` and its error stay."""
     erri = abs(simi @ dirs - eye).max()
     if erri > 0.1 or math.isnan(erri):
-        test = np.linalg.inv(dirs)
+        try:
+            test = np.linalg.inv(dirs)
+        except np.linalg.LinAlgError:
+            return simi, erri <= 1
         erri_test = abs(test @ dirs - eye).max()
         if erri_test < erri or (math.isnan(erri) and not math.isnan(erri_test)):
             simi, erri = test, erri_test

@@ -292,3 +292,14 @@ def test_damaging_rounding_matches_pyprima(n, seed):
         else:
             _, ok = port._updatepole(fval, sim[:, :n], sim[:, n], simi, np.eye(n))
         assert info != 0 and not ok
+
+
+def test_singular_simplex_keeps_the_stored_inverse_and_its_verdict():
+    # np.linalg.inv raises on an exactly singular simplex; the stored inverse
+    # and its error stand, so a bad one is a damaging-rounding stop, not a raise
+    simi = 5 * np.eye(2)
+    checked, ok = port._settle(simi, np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
+    assert checked is simi and not ok
+    simi = np.eye(2)
+    checked, ok = port._settle(simi, np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2))
+    assert checked is simi and ok
