@@ -126,7 +126,7 @@ class PauliSum:
         return tuple(_each_action(self))
 
 
-def _checked_sum(qubits: int, terms: list) -> PauliSum:
+def _checked_sum(qubits: int, terms) -> PauliSum:
     """The sum of ``terms``, each already passed by :func:`_check_term`,
     built without ``__post_init__`` checking them a second time."""
     p = object.__new__(PauliSum)
@@ -163,10 +163,14 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
 
 
 def _pauli_sum(coeffs: np.ndarray, x: np.ndarray, qubits: int, drop_tol: float) -> PauliSum:
-    """The strings (x[k], z) with |coeffs[z, k]| > drop_tol."""
+    """The strings (x[k], z) with |coeffs[z, k]| > drop_tol.  Distinct masks
+    give distinct valid strings, so once every coefficient is finite each term
+    passes :func:`_check_term` by construction."""
+    if not np.isfinite(coeffs).all():
+        raise ValueError("Pauli coefficients overflowed to non-finite values")
     z, k = np.nonzero(np.abs(coeffs) > drop_tol)
     letters = _letters(x[k], z, qubits)
-    return PauliSum(qubits, tuple(zip(coeffs[z, k].tolist(), letters)))
+    return _checked_sum(qubits, zip(coeffs[z, k].tolist(), letters))
 
 
 def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
@@ -193,11 +197,14 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
         _require_small_defect(float(np.max(np.abs(rows - mirror), initial=0.0)))
     if flips.any():
         _require_cap(qubits, DENSE_QUBIT_CAP, "dense")
-    coeffs = _walsh_hadamard(rows)
-    phases = np.array(_PHASES)[[z.bit_count() % 4 for z in range(dim)]]  # i^popcount(z)
-    for z, row in enumerate(coeffs):
-        row *= phases[z & flips]  # i^n_Y
-    coeffs /= dim
+    # An overflow turns to inf and NaN, which both parts carry past the phases
+    # (inf * 0 is NaN) to the finiteness check of _pauli_sum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _walsh_hadamard(rows)
+        phases = np.array(_PHASES)[[z.bit_count() % 4 for z in range(dim)]]  # i^popcount(z)
+        for z, row in enumerate(coeffs):
+            row *= phases[z & flips]  # i^n_Y
+        coeffs /= dim
     if np.any(np.abs(coeffs.imag) > 1e-10):
         raise ValueError("Hermitian input produced non-real Pauli coefficients")
     return _pauli_sum(coeffs.real, flips, qubits, drop_tol)
@@ -213,7 +220,8 @@ def decompose_diagonal(diagonal: np.ndarray, drop_tol: float = DROP_TOL) -> Paul
         raise ValueError(f"expected a 2^n diagonal with n >= 1, got shape {d.shape}")
     if not np.all(np.isfinite(d)):
         raise ValueError("diagonal has non-finite entries")
-    coeffs = _walsh_hadamard(d.copy()) / dim
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _pauli_sum
+        coeffs = _walsh_hadamard(d.copy()) / dim
     return _pauli_sum(coeffs[:, None], np.zeros(1, dtype=int), qubits, drop_tol)
 
 

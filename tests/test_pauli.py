@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ringcasimir import pauli
 from ringcasimir.chiral import jordan_wigner_hamiltonian
+from ringcasimir.hamiltonian import HamiltonianSpec
 from ringcasimir.lattice import ModeFamily, mode_hamiltonian, ring_hamiltonian
 from ringcasimir.operators import (
     CapacityError,
@@ -100,6 +101,27 @@ def test_decompose_errors():
     with pytest.raises(ValueError, match="imaginary"):
         decompose_diagonal(np.array([1 + 1j, 2]))
     assert decompose_diagonal(np.array([1 + 0j, 2])) == decompose_diagonal(np.array([1.0, 2.0]))
+
+
+def test_decompositions_refuse_an_overflowing_transform():
+    # the transform's partial sums overflow, and inf - inf is NaN, which the
+    # drop test |c| > drop_tol would drop without a word
+    d = np.array([1.7e308, -1.7e308, -1.7e308, -1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.7e308])
+    for build in (lambda: decompose_diagonal(d), lambda: decompose(np.diag(d)),
+                  lambda: HamiltonianSpec(qubits=3, diagonal=d).as_pauli()):
+        with pytest.raises(ValueError, match="overflowed to non-finite values"):
+            build()
+
+
+def test_decompositions_check_no_term_again(monkeypatch):
+    # distinct masks make distinct valid strings, so finite terms need no check
+    rng = np.random.default_rng(5)
+    h, d = random_hermitian(rng, 3), rng.normal(size=16)
+    expected = [PauliSum(p.qubits, p.terms) for p in (decompose(h), decompose_diagonal(d))]
+    checked = []
+    monkeypatch.setattr(pauli, "_check_term", lambda *args: checked.append(args[1]))
+    assert [decompose(h), decompose_diagonal(d)] == expected
+    assert checked == []
 
 
 def structured_hermitian(rng, kind, qubits):
