@@ -79,6 +79,18 @@ class CalibrationError(RuntimeError):
     """No admissible scale reproduces the reference ground energy."""
 
 
+def _require_sites(sites: int) -> None:
+    if sites < 2:
+        raise ValueError(f"sites must be >= 2, got {sites}")
+
+
+def _require_eta_scale(eta: float, scale: float) -> None:
+    if not (math.isfinite(eta) and eta >= 1.0):
+        raise ValueError(f"eta must be finite and >= 1, got {eta}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+
+
 @dataclass(frozen=True)
 class ChiralSystem:
     """Lattice chiral fermion: L sites, deformation eta >= 1 (Wilson at
@@ -89,12 +101,8 @@ class ChiralSystem:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.sites < 2:
-            raise ValueError(f"sites must be >= 2, got {self.sites}")
-        if not (math.isfinite(self.eta) and self.eta >= 1.0):
-            raise ValueError(f"eta must be finite and >= 1, got {self.eta}")
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        _require_sites(self.sites)
+        _require_eta_scale(self.eta, self.scale)
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,7 @@ def kinetic_block(sites: int) -> np.ndarray:
     entry and the antisymmetric hopping cancels exactly (spectrum
     2 sin(2 pi k / L) for every L).
     """
-    if sites < 2:
-        raise ValueError(f"sites must be >= 2, got {sites}")
+    _require_sites(sites)
     k = np.zeros((sites, sites), dtype=complex)
     for j in range(sites):
         k[(j + 1) % sites, j] += 1j
@@ -125,8 +132,7 @@ def wilson_block(sites: int) -> np.ndarray:
     """Wilson mass block: 2 on the diagonal, -1 on both off-diagonals and
     both corners (bonds accumulated around the ring); spectrum
     2 - 2 cos(2 pi k / L) >= 0."""
-    if sites < 2:
-        raise ValueError(f"sites must be >= 2, got {sites}")
+    _require_sites(sites)
     w = 2.0 * np.eye(sites, dtype=complex)
     for j in range(sites):
         w[(j + 1) % sites, j] += -1.0
@@ -150,7 +156,11 @@ def dispersion(p: float, eta: float, scale: float = 1.0) -> DispersionPoint:
     roots (u -+ root)/2 of x^2 - u x - (eta a^2 + b^2), u = (1 - eta) a,
     a = 2 sin p, b = 2 - 2 cos p.  The one larger in size, (u + sign(u)
     root)/2, adds two magnitudes; the other is the product -(eta a^2 + b^2)
-    over it, since (u - sign(u) root)/2 cancels once eta |a| dwarfs it."""
+    over it, since (u - sign(u) root)/2 cancels once eta |a| dwarfs it.
+    Refuses what :class:`ChiralSystem` refuses, and a non-finite ``p``."""
+    if not math.isfinite(p):
+        raise ValueError(f"momentum must be finite, got {p}")
+    _require_eta_scale(eta, scale)
     a = 2.0 * math.sin(p)
     b = 2.0 - 2.0 * math.cos(p)
     root = math.hypot((1.0 + eta) * a, 2.0 * b)
@@ -194,10 +204,7 @@ def bulk_density(eta: float, scale: float = 1.0) -> float:
     is 2 at x = 0).  The finite-lattice sea energy per site approaches this
     with an O(1/L^2) residual (the integrand has a kink at p = 0).
     """
-    if not (math.isfinite(eta) and eta >= 1.0):
-        raise ValueError(f"eta must be finite and >= 1, got {eta}")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    _require_eta_scale(eta, scale)
     x = math.sqrt(eta - 1.0) * math.sqrt(eta + 3.0) / 2.0  # sqrt of the product overflows
     tail = 2.0 * math.asinh(x) / x if x > 0.0 else 2.0
     return scale * (-2.0 / math.pi * ((1.0 + eta) + tail))
@@ -265,6 +272,7 @@ def reference_system(sites: int, eta: float) -> ChiralSystem:
 
 def continuum_casimir_target(sites: int) -> float:
     """Continuum chiral Casimir energy at ring radius sites/2 (two species
-    per site): 2 pi / (6 (sites/2)^2)."""
+    per site): 2 pi / (6 (sites/2)^2), for sites >= 2 as in :class:`ChiralSystem`."""
+    _require_sites(sites)
     radius = sites / 2.0
     return 2.0 * math.pi / (6.0 * radius**2)

@@ -425,6 +425,18 @@ def test_chiral_system_validation():
             bulk_density(bad)
         with pytest.raises(ValueError, match="finite"):
             bulk_density(10.0, scale=bad)
+    # the free functions refuse what ChiralSystem refuses
+    for args, message in [((1.0, 2.0, -1.0), "scale must be positive and finite, got -1.0"),
+                          ((1.0, 0.5), "eta must be finite and >= 1, got 0.5"),
+                          ((1.0, math.nan), "eta must be finite and >= 1, got nan"),
+                          ((1.0, 2.0, math.inf), "scale must be positive and finite, got inf"),
+                          ((math.nan, 2.0), "momentum must be finite, got nan"),
+                          ((-math.inf, 2.0), "momentum must be finite, got -inf")]:
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            dispersion(*args)
+    for sites in (1, 0, -3):
+        with pytest.raises(ValueError, match=rf"^sites must be >= 2, got {sites}$"):
+            continuum_casimir_target(sites)
 
 
 def test_chiral_vqe_small_instance():
