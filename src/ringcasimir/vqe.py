@@ -7,12 +7,11 @@ Hamiltonians need; the "ry-rz" family adds a phase rotation per qubit and
 layer for Hamiltonians with genuinely complex ground states (the chiral
 single-particle matrix).  Either family is one list of commuting blocks,
 built per layer, that :func:`ansatz_state` walks forward and the adjoint
-gradient walks back.  RY goes through the one rotation kernel ``_rotate``
-both ways, at theta and at -theta.  RZ does not: the forward pass turns it
-qubit by qubit with ``_rotate``, and the backward pass undoes a whole RZ
-block with one phase vector exp(i/2 sum_q theta_q z_q).  The two round
-differently, one exp of a summed angle against a product of per-qubit
-phases, so each pass keeps its own and the pinned runs keep their points.
+gradient walks back.  RY turns through the one rotation kernel ``_rotate``
+at theta and at -theta.  RZ turns qubit by qubit forward, but the backward
+pass undoes an RZ block with one phase vector exp(i/2 sum_q theta_q z_q):
+one exp of a summed angle rounds otherwise than a product of per-qubit
+phases, and each pass keeps its own so the pinned runs keep their points.
 The kernel's three-operation RY and the product-state first block give
 the amplitudes of the plain gate-by-gate circuit bit for bit, by IEEE
 rules rather than by how numpy orders its loops: x - y is x + (-y), sums
