@@ -80,7 +80,7 @@ class ModeFamily:
 
     @property
     def qubits(self) -> int:
-        """Qubits of the assembled ring register (2 per boson mode, 1 per fermion mode)."""
+        """Qubits of the assembled ring register, from the table below."""
         return _QUBITS[self.statistics] * self.sites
 
     @classmethod
@@ -114,13 +114,12 @@ _QUBITS = {s: sum(_RULES[m].qubits for m in ms) for s, ms in _MEMBERS.items()}
 _SUBTRACTION = {s: sum(_RULES[m].subtraction for m in ms) for s, ms in _MEMBERS.items()}
 
 
-def _constituents(family: ModeFamily):
-    return [ModeFamily(s, family.boundary, family.sites) for s in _MEMBERS[family.statistics]]
-
-
 def _modes(family: ModeFamily):
     """(member, i) for every mode, in register order (bosons first)."""
-    return ((m, i) for m in _constituents(family) for i in range(1, m.sites + 1))
+    for statistics in _MEMBERS[family.statistics]:
+        member = ModeFamily(statistics, family.boundary, family.sites)
+        for i in range(1, family.sites + 1):
+            yield member, i
 
 
 def mode_frequency(family: ModeFamily, i: int) -> float:
@@ -145,9 +144,10 @@ def mode_sum_energy(family: ModeFamily) -> float:
     Bosons contribute +omega/2 per mode, fermions -omega/2 (filled Dirac
     sea of the single-mode Hamiltonians).
     """
-    return sum(float(_RULES[m.statistics].levels[0])
-               * sum(mode_frequency(m, i) for i in range(1, m.sites + 1))
-               for m in _constituents(family))
+    sums = dict.fromkeys(_MEMBERS[family.statistics], 0)  # each from 0, as sum() adds
+    for member, i in _modes(family):
+        sums[member.statistics] += mode_frequency(member, i)
+    return sum(float(_RULES[s].levels[0]) * total for s, total in sums.items())
 
 
 def casimir_exact(family: ModeFamily) -> float:
