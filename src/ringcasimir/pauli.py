@@ -197,10 +197,10 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
         _require_small_defect(float(np.max(np.abs(rows - mirror), initial=0.0)))
     if flips.any():
         _require_cap(qubits, DENSE_QUBIT_CAP, "dense")
+    phases = np.array(_PHASES)[[z.bit_count() % 4 for z in range(dim)]]  # i^popcount(z)
     # an overflow reaches the real part as NaN (inf * 0 in the phases); _pauli_sum refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = _walsh_hadamard(rows)
-        phases = np.array(_PHASES)[[z.bit_count() % 4 for z in range(dim)]]  # i^popcount(z)
         for z, row in enumerate(coeffs):
             row *= phases[z & flips]  # i^n_Y
         coeffs /= dim
