@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hamiltonian import CapacityError, HamiltonianSpec
-from .operators import DENSE_QUBIT_CAP, hermitian_eigen, require_hermitian
+from .operators import DENSE_QUBIT_CAP, _integer, hermitian_eigen, require_hermitian
 from .pauli import PauliSum
 
 __all__ = [
@@ -80,7 +80,7 @@ class CalibrationError(RuntimeError):
 
 
 def _require_sites(sites: int) -> None:
-    if sites < 2:
+    if _integer(sites, "sites") < 2:
         raise ValueError(f"sites must be >= 2, got {sites}")
 
 
@@ -120,24 +120,25 @@ def kinetic_block(sites: int) -> np.ndarray:
     entry and the antisymmetric hopping cancels exactly (spectrum
     2 sin(2 pi k / L) for every L).
     """
-    _require_sites(sites)
-    k = np.zeros((sites, sites), dtype=complex)
-    for j in range(sites):
-        k[(j + 1) % sites, j] += 1j
-        k[j, (j + 1) % sites] += -1j
-    return k
+    return _ring_block(sites, 0.0, 1j, -1j)
 
 
 def wilson_block(sites: int) -> np.ndarray:
     """Wilson mass block: 2 on the diagonal, -1 on both off-diagonals and
     both corners (bonds accumulated around the ring); spectrum
     2 - 2 cos(2 pi k / L) >= 0."""
+    return _ring_block(sites, 2.0, -1.0, -1.0)
+
+
+def _ring_block(sites: int, diagonal: float, below: complex, above: complex) -> np.ndarray:
+    """``diagonal`` times the identity, plus each ring bond j -> j + 1 added
+    as ``below`` at [j + 1, j] and ``above`` at [j, j + 1]."""
     _require_sites(sites)
-    w = 2.0 * np.eye(sites, dtype=complex)
+    block = diagonal * np.eye(sites, dtype=complex)
     for j in range(sites):
-        w[(j + 1) % sites, j] += -1.0
-        w[j, (j + 1) % sites] += -1.0
-    return w
+        block[(j + 1) % sites, j] += below
+        block[j, (j + 1) % sites] += above
+    return block
 
 
 def single_particle_matrix(system: ChiralSystem) -> np.ndarray:

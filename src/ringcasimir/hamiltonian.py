@@ -26,7 +26,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import pauli as _pauli
-from .operators import DENSE_QUBIT_CAP, CapacityError, _real_array, _require_cap
+from .operators import DENSE_QUBIT_CAP, CapacityError, _integer, _real_array, _require_cap
 
 __all__ = ["HamiltonianSpec", "DENSE_QUBIT_CAP", "RING_QUBIT_CAP", "CapacityError"]
 
@@ -57,7 +57,7 @@ class HamiltonianSpec:
     pauli: Any = None
 
     def __post_init__(self):
-        if self.qubits < 1:
+        if _integer(self.qubits, "qubit count") < 1:
             raise ValueError(f"qubit count must be >= 1, got {self.qubits}")
         given = sum(r is not None for r in (self.diagonal, self.pauli))
         if given != 1:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import CapacityError, HamiltonianSpec, RING_QUBIT_CAP
+from .operators import _integer
 
 __all__ = [
     "Statistics",
@@ -71,7 +72,7 @@ class ModeFamily:
     sites: int
 
     def __post_init__(self):
-        if self.sites < 1:
+        if _integer(self.sites, "sites") < 1:
             raise ValueError(f"sites must be >= 1, got {self.sites}")
 
     @property
@@ -126,7 +127,7 @@ def mode_frequency(family: ModeFamily, i: int) -> float:
     """Frequency of normal mode ``i`` (1-based, i <= sites); strictly positive."""
     if family.statistics is Statistics.COMBINED:
         raise ValueError("combined family: query the boson or fermion constituent")
-    if not 1 <= i <= family.sites:
+    if not 1 <= _integer(i, "mode index") <= family.sites:
         raise ValueError(f"mode index {i} outside 1..{family.sites}")
     shift = 0.0 if family.boundary is Boundary.PERIODIC else 0.5
     theta = 2.0 * math.pi * (i + shift) / (4 * family.sites + 2)
@@ -236,7 +237,7 @@ def coupling_matrix(N: int, boundary: Boundary) -> np.ndarray:
     decomposition: each frequency appears twice, alongside a zero mode for
     the periodic ring or the unpaired top mode for the twisted one.
     """
-    if N < 1:
+    if _integer(N, "N") < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     m = 2 * N + 1
     c = 2.0 * np.eye(m)

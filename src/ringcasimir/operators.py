@@ -12,6 +12,7 @@ eigendecomposition.  Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from functools import reduce
 
 import numpy as np
@@ -68,6 +69,15 @@ class CapacityError(RuntimeError):
     """A requested dense object exceeds the configured size cap."""
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, for a size, depth or budget check to bound: what
+    ``operator.index`` takes (Python and numpy integers), else ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _require_cap(qubits: int, cap: int, kind: str) -> None:
     if qubits > cap:
         raise CapacityError(f"{qubits} qubits exceed the {cap}-qubit {kind} cap")
@@ -106,7 +116,7 @@ def kron_chain(factors) -> np.ndarray:
 def _embed(single: np.ndarray, left: np.ndarray, mode: int, n_modes: int) -> np.ndarray:
     """Embed ``single`` at slot ``mode`` with ``left`` on every earlier slot
     and identities after it."""
-    if not 1 <= mode <= n_modes:
+    if not 1 <= _integer(mode, "mode index") <= _integer(n_modes, "n_modes"):
         raise ValueError(f"mode index {mode} outside 1..{n_modes}")
     eye = np.eye(single.shape[0], dtype=complex)
     chain = [left] * (mode - 1) + [single] + [eye] * (n_modes - mode)

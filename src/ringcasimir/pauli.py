@@ -29,7 +29,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .operators import DENSE_QUBIT_CAP, _real_array, _require_cap, _require_small_defect, bit_parity
+from .operators import (
+    DENSE_QUBIT_CAP,
+    _integer,
+    _real_array,
+    _require_cap,
+    _require_small_defect,
+    bit_parity,
+)
 
 __all__ = [
     "ALPHABET",
@@ -102,7 +109,7 @@ class PauliSum:
     terms: tuple
 
     def __post_init__(self):
-        if self.qubits < 1:
+        if _integer(self.qubits, "qubit count") < 1:
             raise ValueError(f"qubit count must be >= 1, got {self.qubits}")
         coerced = tuple((float(c), str(s)) for c, s in self.terms)
         seen = set()
@@ -164,10 +171,8 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
 
 def _pauli_sum(coeffs: np.ndarray, x: np.ndarray, qubits: int, drop_tol: float) -> PauliSum:
     """The strings (x[k], z) with |coeffs[z, k]| > drop_tol.  Distinct masks
-    give distinct valid strings, so once every coefficient is finite each term
-    passes :func:`_check_term` by construction."""
-    if not np.isfinite(coeffs).all():
-        raise ValueError("Pauli coefficients overflowed to non-finite values")
+    give distinct valid strings, and the coefficients of finite input are
+    finite, so each term passes :func:`_check_term` by construction."""
     z, k = np.nonzero(np.abs(coeffs) > drop_tol)
     letters = _letters(x[k], z, qubits)
     return _checked_sum(qubits, zip(coeffs[z, k].tolist(), letters))
@@ -198,12 +203,13 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     if flips.any():
         _require_cap(qubits, DENSE_QUBIT_CAP, "dense")
     phases = np.array(_PHASES)[[z.bit_count() % 4 for z in range(dim)]]  # i^popcount(z)
-    # an overflow reaches the real part as NaN (inf * 0 in the phases); _pauli_sum refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _walsh_hadamard(rows)
-        for z, row in enumerate(coeffs):
-            row *= phases[z & flips]  # i^n_Y
-        coeffs /= dim
+        coeffs, scale = _walsh_hadamard(rows), dim
+    if not np.isfinite(coeffs).all():  # a partial sum overflowed: see decompose_diagonal
+        coeffs, scale = _walsh_hadamard(h[idx, idx ^ flips] / dim), 1
+    for z, row in enumerate(coeffs):
+        row *= phases[z & flips]  # i^n_Y
+    coeffs /= scale
     if np.any(np.abs(coeffs.imag) > 1e-10):
         raise ValueError("Hermitian input produced non-real Pauli coefficients")
     return _pauli_sum(coeffs.real, flips, qubits, drop_tol)
@@ -219,8 +225,12 @@ def decompose_diagonal(diagonal: np.ndarray, drop_tol: float = DROP_TOL) -> Paul
         raise ValueError(f"expected a 2^n diagonal with n >= 1, got shape {d.shape}")
     if not np.all(np.isfinite(d)):
         raise ValueError("diagonal has non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _pauli_sum
+    with np.errstate(over="ignore", invalid="ignore"):
         coeffs = _walsh_hadamard(d.copy()) / dim
+    if not np.isfinite(coeffs).all():
+        # A partial sum overflowed.  Scaling by the power of two 1/dim rounds only
+        # subnormals and bounds every partial sum by the largest entry.
+        coeffs = _walsh_hadamard(d / dim)
     return _pauli_sum(coeffs[:, None], np.zeros(1, dtype=int), qubits, drop_tol)
 
 

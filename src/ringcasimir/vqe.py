@@ -51,7 +51,7 @@ from .lattice import (
     percent_difference,
     subtraction_constant,
 )
-from .operators import bit_parity
+from .operators import _integer, bit_parity
 from .pauli import sampled_expectation
 
 __all__ = [
@@ -101,15 +101,15 @@ class VqeConfig:
     init_spread: float = 0.1
 
     def __post_init__(self):
-        if self.depth < 0:
+        if _integer(self.depth, "depth") < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
-        if self.max_iterations < 1:
+        if _integer(self.max_iterations, "max_iterations") < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.optimizer is Optimizer.LINEAR and self.tolerance > 1:  # COBYLA's rho_beg
             raise ValueError(f"tolerance must be at most 1 for the linear optimizer, got {self.tolerance}")
-        if self.shots is not None and self.shots < 1:
+        if self.shots is not None and _integer(self.shots, "shots") < 1:
             raise ValueError(f"shots must be a positive count, got {self.shots}")
         if self.shots is not None and self.shots > np.iinfo(np.int64).max:  # numpy's binomial
             raise ValueError(f"shots must be at most 2**63 - 1, got {self.shots}")
@@ -137,7 +137,7 @@ class VqeResult:
     converged: bool
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a cached 2 must not answer for 2.0
 def _blocks(qubits: int, depth: int, ansatz: str) -> tuple:
     """The ansatz as blocks ``(gate, parameter slice)`` in application order.
 
@@ -151,7 +151,7 @@ def _blocks(qubits: int, depth: int, ansatz: str) -> tuple:
     """
     if ansatz not in ANSATZE:
         raise ValueError(f"unknown ansatz {ansatz!r}; use one of {ANSATZE}")
-    if qubits < 1 or depth < 0:
+    if _integer(qubits, "qubits") < 1 or _integer(depth, "depth") < 0:
         raise ValueError(f"need qubits >= 1 and depth >= 0, got {qubits} and {depth}")
     blocks, k = [], 0
     for layer in range(depth + 1):

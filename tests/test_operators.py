@@ -19,7 +19,16 @@ from ringcasimir.operators import (
     kron_chain,
     require_hermitian,
 )
-from ringcasimir.chiral import dirac_sea_energy, jordan_wigner_hamiltonian
+from ringcasimir.chiral import (
+    ChiralSystem,
+    continuum_casimir_target,
+    dirac_sea_energy,
+    jordan_wigner_hamiltonian,
+)
+from ringcasimir.hamiltonian import HamiltonianSpec
+from ringcasimir.lattice import Boundary, ModeFamily, Statistics, coupling_matrix, mode_frequency
+from ringcasimir.pauli import PauliSum
+from ringcasimir.vqe import VqeConfig, n_parameters
 
 I2 = np.eye(2)
 
@@ -159,6 +168,30 @@ def test_mode_index_out_of_range():
         boson_lower(0, 2)
     with pytest.raises(ValueError):
         fermion_lower(3, 2)
+
+
+def test_sizes_depths_and_budgets_must_be_integers():
+    family = ModeFamily(Statistics.BOSON, Boundary.PERIODIC, 3)
+    cases = [
+        (lambda v: ChiralSystem(v), "sites", float("nan")),
+        (lambda v: ChiralSystem(v), "sites", 2.5),
+        (lambda v: continuum_casimir_target(v), "sites", 2.5),
+        (lambda v: ModeFamily(Statistics.BOSON, Boundary.PERIODIC, v), "sites", 2.5),
+        (lambda v: PauliSum(v, ()), "qubit count", 2.5),
+        (lambda v: HamiltonianSpec(qubits=v, diagonal=[1.0, 2.0]), "qubit count", 1.0),
+        (lambda v: n_parameters(v, 1), "qubits", 2.5),
+        (lambda v: n_parameters(2, v), "depth", 1.0),
+        (lambda v: VqeConfig(depth=v), "depth", 1.5),
+        (lambda v: VqeConfig(max_iterations=v), "max_iterations", 2.5),
+        (lambda v: VqeConfig(shots=v), "shots", 2.5),
+        (lambda v: coupling_matrix(v, Boundary.PERIODIC), "N", 2.5),
+        (lambda v: mode_frequency(family, v), "mode index", 1.5),
+        (lambda v: boson_lower(1, v), "n_modes", 2.0),
+    ]
+    for build, name, value in cases:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            build(value)
+        build(np.int64(round(value) if np.isfinite(value) else 3))  # numpy integers pass
 
 
 def test_hermitian_eigen_simple_cases():

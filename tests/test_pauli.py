@@ -103,14 +103,30 @@ def test_decompose_errors():
     assert decompose_diagonal(np.array([1 + 0j, 2])) == decompose_diagonal(np.array([1.0, 2.0]))
 
 
-def test_decompositions_refuse_an_overflowing_transform():
-    # the transform's partial sums overflow, and inf - inf is NaN, which the
-    # drop test |c| > drop_tol would drop without a word
+def test_decompositions_survive_an_overflowing_transform():
+    # the unscaled transform's partial sums overflow (and inf - inf is NaN,
+    # which the drop test |c| > drop_tol would drop without a word); the
+    # coefficients themselves are representable, and these are their exact values
     d = np.array([1.7e308, -1.7e308, -1.7e308, -1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.7e308])
-    for build in (lambda: decompose_diagonal(d), lambda: decompose(np.diag(d)),
-                  lambda: HamiltonianSpec(qubits=3, diagonal=d).as_pauli()):
-        with pytest.raises(ValueError, match="overflowed to non-finite values"):
-            build()
+    expected = PauliSum(3, ((-8.5e307, "ZII"), (8.5e307, "ZIZ"), (8.5e307, "ZZI"),
+                            (8.5e307, "ZZZ")))
+    assert decompose_diagonal(d) == decompose(np.diag(d)) == expected
+    assert HamiltonianSpec(qubits=3, diagonal=d).as_pauli() == expected
+    assert decompose(np.array([[0, 1e308j], [-1e308j, 0]])) == PauliSum(1, ((-1e308, "Y"),))
+
+
+@pytest.mark.parametrize("qubits", range(1, 9))
+def test_overflow_scaling_is_exact(qubits):
+    # at 2^1023 times a diagonal in [1.5, 1.75], the unscaled transform's first
+    # partial sums overflow; scaling by a power of two rounds nothing, so every
+    # coefficient is exactly 2^1023 times the unscaled input's
+    rng = np.random.default_rng(qubits)
+    h = random_hermitian(rng, qubits) / 16
+    np.fill_diagonal(h, rng.uniform(1.5, 1.75, size=2**qubits))
+    big = 2.0**1023
+    for build, a in ((decompose, h), (decompose_diagonal, h.diagonal().real)):
+        p, q = build(a), build(a * big, drop_tol=pauli.DROP_TOL * big)
+        assert q.terms == tuple((c * big, s) for c, s in p.terms)
 
 
 def test_decompositions_check_no_term_again(monkeypatch):

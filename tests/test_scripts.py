@@ -1,11 +1,14 @@
 import csv
 import json
+import re
 import runpy
 import types
 from pathlib import Path
 
+import pytest
+
 import ringcasimir
-from ringcasimir import vqe
+from ringcasimir import cli, vqe
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -31,7 +34,19 @@ def test_export_list_is_pinned():
         assert not isinstance(getattr(ringcasimir, name), types.ModuleType), name
 
 
-def test_scripts_write_their_files(tmp_path, monkeypatch):
+FAMILIES = ("boson-periodic", "boson-twisted", "fermion-periodic", "fermion-twisted")
+DISPERSIONS = ("l6-eta1", "l6-eta5", "l14-eta1", "l14-eta10")
+# Each data file scripts/data_files.py writes, and the subcommand that writes it.
+DATA_FILES = {
+    **{f"traces/{label}-n8.csv": "vqe" for label in FAMILIES},
+    "traces/chiral-l3-eta10.csv": "vqe",
+    **{f"chiral/dispersion-{name}.csv": "dispersion" for name in DISPERSIONS},
+    "chiral/reference-report.json": "exact",
+    "chiral/boson-pauli-counts.csv": "pauli-count",
+}
+
+
+def test_data_files_writes_every_file_with_its_manifest(tmp_path, monkeypatch):
     monkeypatch.setenv("RINGCASIMIR_OUTDIR", str(tmp_path))
     results = []
 
@@ -39,26 +54,44 @@ def test_scripts_write_their_files(tmp_path, monkeypatch):
         results.append(vqe.run_vqe(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(ringcasimir, "run_vqe", recording_run_vqe)
-    for script in ("convergence_traces.py", "chiral_scan.py"):
-        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    monkeypatch.setattr(cli, "run_vqe", recording_run_vqe)
+    with pytest.raises(SystemExit) as exit:
+        runpy.run_path(str(SCRIPTS / "data_files.py"), run_name="__main__")
+    assert exit.value.code == 0
 
-    traces = tmp_path / "traces"
-    for label in ("boson-periodic", "boson-twisted", "fermion-periodic", "fermion-twisted"):
-        with open(traces / f"{label}-n8.csv") as fh:
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == {*DATA_FILES, *(f"{name}.manifest.json" for name in DATA_FILES)}
+    for name, command in DATA_FILES.items():
+        assert (tmp_path / name).stat().st_size > 0
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["command"] == command, name
+
+    for label in FAMILIES:
+        with open(tmp_path / f"traces/{label}-n8.csv") as fh:
             assert len(list(csv.DictReader(fh))) > 1
-    with open(traces / "chiral-l3-eta10.csv") as fh:
+    with open(tmp_path / "traces/chiral-l3-eta10.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(results) == 1
+    assert len(results) == 1  # the family runs go through partitioned_run
     assert float(rows[-1]["energy"]) == results[0].energy
-
-    chiral = tmp_path / "chiral"
-    for name in ("dispersion-l6-eta1.csv", "dispersion-l6-eta5.csv",
-                 "dispersion-l14-eta1.csv", "dispersion-l14-eta10.csv",
-                 "boson-pauli-counts.csv"):
-        assert (chiral / name).stat().st_size > 0
-    report = json.loads((chiral / "reference-report.json").read_text())
+    report = json.loads((tmp_path / "chiral/reference-report.json").read_text())
     assert report["casimir"] == report["dirac_sea_energy"] - report["subtraction"]
+
+
+def test_data_files_stop_at_the_first_failing_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RINGCASIMIR_OUTDIR", str(tmp_path))
+    run = runpy.run_path(str(SCRIPTS / "data_files.py"))["run"]
+    bad = "exact --family boson-periodic --sites 0 --json bad.json"
+    assert run([bad, "pauli-count --family boson-periodic --sites 1..2 --out later.csv"]) == 2
+    assert capsys.readouterr().err.endswith(f"`ringcasimir {bad}` exited 2\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_scripts_exist():
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    named = re.findall(r"python (scripts/[\w.-]+\.py)", readme)
+    assert "scripts/data_files.py" in named
+    for path in named:
+        assert (SCRIPTS.parent / path).is_file(), path
 
 
 def test_chiral_scan_dual_path_gaps_stay_at_rounding(capsys):
