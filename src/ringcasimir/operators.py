@@ -116,7 +116,8 @@ def kron_chain(factors) -> np.ndarray:
 def _embed(single: np.ndarray, left: np.ndarray, mode: int, n_modes: int) -> np.ndarray:
     """Embed ``single`` at slot ``mode`` with ``left`` on every earlier slot
     and identities after it."""
-    if not 1 <= _integer(mode, "mode index") <= _integer(n_modes, "n_modes"):
+    n_modes = _integer(n_modes, "n_modes")
+    if not 1 <= _integer(mode, "mode index") <= n_modes:
         raise ValueError(f"mode index {mode} outside 1..{n_modes}")
     eye = np.eye(single.shape[0], dtype=complex)
     chain = [left] * (mode - 1) + [single] + [eye] * (n_modes - mode)

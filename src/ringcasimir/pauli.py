@@ -203,13 +203,10 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     if flips.any():
         _require_cap(qubits, DENSE_QUBIT_CAP, "dense")
     phases = np.array(_PHASES)[[z.bit_count() % 4 for z in range(dim)]]  # i^popcount(z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs, scale = _walsh_hadamard(rows), dim
-    if not np.isfinite(coeffs).all():  # a partial sum overflowed: see decompose_diagonal
-        coeffs, scale = _walsh_hadamard(h[idx, idx ^ flips] / dim), 1
+    rows /= dim  # see decompose_diagonal
+    coeffs = _walsh_hadamard(rows)
     for z, row in enumerate(coeffs):
         row *= phases[z & flips]  # i^n_Y
-    coeffs /= scale
     if np.any(np.abs(coeffs.imag) > 1e-10):
         raise ValueError("Hermitian input produced non-real Pauli coefficients")
     return _pauli_sum(coeffs.real, flips, qubits, drop_tol)
@@ -225,12 +222,9 @@ def decompose_diagonal(diagonal: np.ndarray, drop_tol: float = DROP_TOL) -> Paul
         raise ValueError(f"expected a 2^n diagonal with n >= 1, got shape {d.shape}")
     if not np.all(np.isfinite(d)):
         raise ValueError("diagonal has non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _walsh_hadamard(d.copy()) / dim
-    if not np.isfinite(coeffs).all():
-        # A partial sum overflowed.  Scaling by the power of two 1/dim rounds only
-        # subnormals and bounds every partial sum by the largest entry.
-        coeffs = _walsh_hadamard(d / dim)
+    # Scaling by the power of two 1/dim first rounds only subnormals, and it
+    # bounds every partial sum by the largest entry, so none overflows.
+    coeffs = _walsh_hadamard(d / dim)
     return _pauli_sum(coeffs[:, None], np.zeros(1, dtype=int), qubits, drop_tol)
 
 

@@ -192,6 +192,8 @@ def test_sizes_depths_and_budgets_must_be_integers():
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
             build(value)
         build(np.int64(round(value) if np.isfinite(value) else 3))  # numpy integers pass
+    with pytest.raises(ValueError, match=r"^n_modes must be an integer, got 2.5$"):
+        boson_lower(0, 2.5)  # the size is checked before the index it bounds
 
 
 def test_hermitian_eigen_simple_cases():
