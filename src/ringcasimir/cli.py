@@ -17,6 +17,7 @@ re-running a command reproduces its data files byte for byte (exact mode).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -358,8 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built by the first `main` call rather than at
+# import.  Reuse is safe: every default is immutable, and `main` writes
+# only to the Namespace of its own call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command in ("exact", "vqe"):
         for dest, owners in _SELECTOR_FLAGS.items():

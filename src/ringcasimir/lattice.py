@@ -175,7 +175,7 @@ def large_n_series(family: ModeFamily, order: int) -> float:
     twisted families' *exact* lattice sums contain a finite-size piece that
     this expansion does not capture; see README.
     """
-    if order not in (2, 3, 4):
+    if _integer(order, "order") not in (2, 3, 4):
         raise ValueError(f"order must be 2, 3 or 4, got {order}")
     key = (family.statistics, family.boundary)
     if key not in _SERIES:

@@ -300,10 +300,19 @@ def term_values(p: PauliSum, state: np.ndarray) -> np.ndarray:
     return np.array([np.vdot(state[flip], f * state).real for flip, f in p._actions])
 
 
+def _require_shots(shots) -> None:
+    """Refuse a shot count numpy's binomial cannot draw: 1..2^63 - 1 only."""
+    if _integer(shots, "shots") < 1:
+        raise ValueError(f"shots must be a positive count, got {shots}")
+    if shots > np.iinfo(np.int64).max:
+        raise ValueError(f"shots must be at most 2**63 - 1, got {shots}")
+
+
 def sampled_expectation(p: PauliSum, state: np.ndarray, shots: int, rng) -> float:
     """Finite-shot estimate of <state| P |state>: each non-identity string is
     measured ``shots`` times as an independent +-1 binomial around its
     :func:`term_values` entry, drawn from ``rng`` in term order."""
+    _require_shots(shots)
     total = 0.0
     for (coefficient, _), (x, z, _), mean in zip(p.terms, p._masks, term_values(p, state)):
         if x == z == 0:

@@ -52,7 +52,7 @@ from .lattice import (
     subtraction_constant,
 )
 from .operators import _integer, bit_parity
-from .pauli import sampled_expectation
+from .pauli import _require_shots, sampled_expectation
 
 __all__ = [
     "ANSATZE",
@@ -109,10 +109,8 @@ class VqeConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.optimizer is Optimizer.LINEAR and self.tolerance > 1:  # COBYLA's rho_beg
             raise ValueError(f"tolerance must be at most 1 for the linear optimizer, got {self.tolerance}")
-        if self.shots is not None and _integer(self.shots, "shots") < 1:
-            raise ValueError(f"shots must be a positive count, got {self.shots}")
-        if self.shots is not None and self.shots > np.iinfo(np.int64).max:  # numpy's binomial
-            raise ValueError(f"shots must be at most 2**63 - 1, got {self.shots}")
+        if self.shots is not None:
+            _require_shots(self.shots)
         if self.ansatz not in ANSATZE:
             raise ValueError(f"unknown ansatz {self.ansatz!r}; use one of {ANSATZE}")
         if not (math.isfinite(self.init_spread) and self.init_spread > 0):

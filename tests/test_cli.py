@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from ringcasimir.chiral import (
     reference_system,
     single_particle_matrix,
 )
+from ringcasimir import cli
 from ringcasimir.cli import main
 from ringcasimir.pauli import serialize
 
@@ -697,3 +699,88 @@ def test_vqe_record_is_valid_json_when_exact_energy_is_zero(capsys, tmp_path):
         record = json.loads(text, parse_constant=refuse)
         assert record["exact_energy"] == 0.0
         assert record["percent_difference"] is None
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one `main` call, SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_a_sequence_of_calls_as_fresh_ones(capsys):
+    refused = ["exact", "--family", "boson-periodic", "--sites", "2", "--eta", "10"]
+    sequence = [
+        refused,
+        ["exact", "--chiral", "--sites", "14", "--eta", "10"],
+        ["exact", "--chiral", "--sites", "3"],  # main fills eta = 1 on its namespace alone
+        refused,
+        ["--version"],
+        ["vqe", "--family", "fermion-periodic", "--sites", "2"],  # every vqe default
+    ]
+    alone = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        alone.append(_outcome(capsys, argv))
+    cli._parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in sequence]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == alone
+    assert [code for code, _, _ in shared] == [2, 0, 0, 2, 0, 0]
+    assert shared[4][1] == f"{cli.__version__}\n"
+
+
+def test_main_builds_one_parser_and_build_parser_a_fresh_one(capsys):
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert main(["exact", "--family", "boson-periodic", "--sites", "1"]) == 0
+    assert cli._parser.cache_info().misses == 1
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
+
+
+def test_no_parser_action_has_a_mutable_default():
+    # the shared parser is safe to reuse only while no call can change a default
+    parsers, seen = [cli.build_parser()], 0
+    while parsers:
+        parser = parsers.pop()
+        seen += 1
+        defaults = [a.default for a in parser._actions] + list(parser._defaults.values())
+        assert not [d for d in defaults if isinstance(d, (list, dict, set, bytearray))], parser.prog
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend({id(p): p for p in action.choices.values()}.values())
+    assert seen == 7  # the top level and its six commands
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import ringcasimir.cli as cli; "
+            "print(cli._parser.cache_info().currsize)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=os.environ | {"PYTHONPATH": str(src)},
+    ).stdout
+    assert out == "0\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["exact", "--family", "boson-periodic", "--sites", "2"], 0),
+    (["import", "bad.pauli"], 5),
+])
+def test_module_entry_point_passes_the_exit_code_through(capsys, tmp_path, monkeypatch, argv,
+                                                         expected):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.pauli").write_text("qubits 2\n1.0 XQ\n")
+    code, out, err = run_cli(capsys, *argv)
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "ringcasimir.cli", *argv], capture_output=True, text=True,
+        env=os.environ | {"PYTHONPATH": str(src)},
+    )
+    assert code == run.returncode == expected
+    assert (run.stdout, run.stderr) == (out, err)

@@ -26,8 +26,15 @@ from ringcasimir.chiral import (
     jordan_wigner_hamiltonian,
 )
 from ringcasimir.hamiltonian import HamiltonianSpec
-from ringcasimir.lattice import Boundary, ModeFamily, Statistics, coupling_matrix, mode_frequency
-from ringcasimir.pauli import PauliSum
+from ringcasimir.lattice import (
+    Boundary,
+    ModeFamily,
+    Statistics,
+    coupling_matrix,
+    large_n_series,
+    mode_frequency,
+)
+from ringcasimir.pauli import PauliSum, sampled_expectation
 from ringcasimir.vqe import VqeConfig, n_parameters
 
 I2 = np.eye(2)
@@ -172,6 +179,7 @@ def test_mode_index_out_of_range():
 
 def test_sizes_depths_and_budgets_must_be_integers():
     family = ModeFamily(Statistics.BOSON, Boundary.PERIODIC, 3)
+    z, zero = PauliSum(1, ((1.0, "Z"),)), np.array([1.0, 0.0])
     cases = [
         (lambda v: ChiralSystem(v), "sites", float("nan")),
         (lambda v: ChiralSystem(v), "sites", 2.5),
@@ -184,6 +192,8 @@ def test_sizes_depths_and_budgets_must_be_integers():
         (lambda v: VqeConfig(depth=v), "depth", 1.5),
         (lambda v: VqeConfig(max_iterations=v), "max_iterations", 2.5),
         (lambda v: VqeConfig(shots=v), "shots", 2.5),
+        (lambda v: sampled_expectation(z, zero, v, np.random.default_rng(0)), "shots", 2.5),
+        (lambda v: large_n_series(family, v), "order", 2.0),
         (lambda v: coupling_matrix(v, Boundary.PERIODIC), "N", 2.5),
         (lambda v: mode_frequency(family, v), "mode index", 1.5),
         (lambda v: boson_lower(1, v), "n_modes", 2.0),

@@ -30,6 +30,7 @@ from ringcasimir.pauli import (
     is_diagonal,
     parse,
     reconstruct,
+    sampled_expectation,
     serialize,
     term_count,
     term_values,
@@ -432,3 +433,15 @@ def test_real_coefficients_for_package_hamiltonians():
     spec = mode_hamiltonian(ModeFamily.from_label("boson-periodic", 2), 1)
     p = decompose(spec.as_matrix())
     assert all(isinstance(c, float) for c, _ in p.terms)
+
+
+def test_sampled_expectation_holds_shots_to_what_numpy_can_draw():
+    # <0|Z|0> = 1 comes out exactly at any count; 0 used to divide by zero
+    z, zero = PauliSum(1, ((1.0, "Z"),)), np.array([1.0, 0.0])
+    for shots, message in ((0, "shots must be a positive count, got 0"),
+                           (2**63, "shots must be at most 2**63 - 1, got 9223372036854775808")):
+        with pytest.raises(ValueError) as exc:
+            sampled_expectation(z, zero, shots, np.random.default_rng(0))
+        assert str(exc.value) == message
+    for shots in (1, 2**63 - 1):
+        assert sampled_expectation(z, zero, shots, np.random.default_rng(0)) == 1.0
