@@ -81,9 +81,9 @@ def _json(obj) -> str:
     return json.dumps(clean, indent=2, sort_keys=True)
 
 
-def _write(raw: str, text: str, command: str, config: dict) -> Path:
-    """Write ``text`` to ``raw`` (relative paths resolve against
-    $RINGCASIMIR_OUTDIR) together with its manifest sidecar."""
+def _write(raw: str, text: str, args, **extra) -> Path:
+    """Write ``text`` to ``raw`` (relative paths resolve against $RINGCASIMIR_OUTDIR)
+    with its manifest sidecar: the command, its arguments and ``extra``."""
     import scipy  # here, not at module level: only a written file needs its version
     path = Path(raw)
     if not path.is_absolute():
@@ -91,8 +91,8 @@ def _write(raw: str, text: str, command: str, config: dict) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     manifest = {
-        "command": command,
-        "config": {k: v for k, v in config.items()
+        "command": args.command,
+        "config": {k: v for k, v in (vars(args) | extra).items()
                    if isinstance(v, (str, int, float, bool, type(None)))},
         "artifact_version": __version__,
         "numpy_version": np.__version__,
@@ -118,11 +118,6 @@ def _parse_sweep(text: str):
     return range(lo, hi + 1)
 
 
-def _vqe_config(args) -> VqeConfig:
-    values = {f.name: getattr(args, f.name) for f in fields(VqeConfig)}
-    return VqeConfig(**values | {"optimizer": Optimizer(args.optimizer)})
-
-
 def _pauli_file_spec(path: str) -> HamiltonianSpec:
     psum = parse(Path(path).read_text())
     return HamiltonianSpec(qubits=psum.qubits, pauli=psum)
@@ -136,16 +131,12 @@ def _chiral_system(args) -> ChiralSystem:
 
 
 def cmd_exact(args) -> int:
-    full = args.full_precision
+    full, extra = args.full_precision, {}
     if args.from_file is not None:
         spec = _pauli_file_spec(args.from_file)
         report = {"qubits": spec.qubits, "ground_energy": spec.ground_energy()}
-        print(f"qubits {spec.qubits}")
-        print(f"ground_energy {report['ground_energy']!r}")
-        if args.json:
-            _write(args.json, _json(report) + "\n", "exact", vars(args))
-        return EXIT_OK
-    if args.chiral:
+        lines = [f"qubits {spec.qubits}", f"ground_energy {report['ground_energy']!r}"]
+    elif args.chiral:
         system = _chiral_system(args)
         sea = dirac_sea_energy(single_particle_matrix(system))
         if args.subtraction is not None:
@@ -165,32 +156,29 @@ def cmd_exact(args) -> int:
             "casimir": sea - subtraction,
             "continuum_target": continuum_casimir_target(system.sites),
         }
-        print(f"sites {system.sites}  eta {_fmt(system.eta, full)}  scale {_fmt(system.scale, full)}")
-        for key in ("dirac_sea_energy", "subtraction", "casimir", "continuum_target"):
-            print(f"{key} {_fmt(report[key], full)}")
-        if args.json:
-            _write(args.json, _json(report) + "\n", "exact",
-                   vars(args) | {"resolved_scale": system.scale})
-        return EXIT_OK
-
-    sweep = _parse_sweep(args.sweep) if args.sweep else [args.sites]
-    families = [ModeFamily.from_label(args.family, n) for n in sweep]  # validate before printing
-    rows = []
-    print("n  energy  subtraction" if not args.no_correction else "n  energy")
-    for n, family in zip(sweep, families):
-        correction = None if args.no_correction else subtraction_constant(family.statistics)
-        energy = mode_sum_energy(family) if args.no_correction else casimir_exact(family)
-        rows.append({"family": family.label, "sites": n, "exact_energy": energy,
-                     "subtraction": correction})
-        cells = [str(n), _fmt(energy, full, ".4f")]
-        print("  ".join(cells if correction is None else [*cells, _fmt(correction, full)]))
+        lines = [f"sites {system.sites}  eta {_fmt(system.eta, full)}  scale {_fmt(system.scale, full)}",
+                 *(f"{key} {_fmt(report[key], full)}"
+                   for key in ("dirac_sea_energy", "subtraction", "casimir", "continuum_target"))]
+        extra = {"resolved_scale": system.scale}
+    else:
+        sweep = _parse_sweep(args.sweep) if args.sweep else [args.sites]
+        report, lines = [], ["n  energy  subtraction" if not args.no_correction else "n  energy"]
+        for n in sweep:
+            family = ModeFamily.from_label(args.family, n)
+            correction = None if args.no_correction else subtraction_constant(family.statistics)
+            energy = mode_sum_energy(family) if args.no_correction else casimir_exact(family)
+            report.append({"family": family.label, "sites": n, "exact_energy": energy,
+                           "subtraction": correction})
+            cells = [str(n), _fmt(energy, full, ".4f")]
+            lines.append("  ".join(cells if correction is None else [*cells, _fmt(correction, full)]))
+    print("\n".join(lines))
     if args.json:
-        _write(args.json, _json(rows) + "\n", "exact", vars(args))
+        _write(args.json, _json(report) + "\n", args, **extra)
     return EXIT_OK
 
 
 def cmd_vqe(args) -> int:
-    cfg = _vqe_config(args)
+    cfg = VqeConfig(**{f.name: getattr(args, f.name) for f in fields(VqeConfig)})
     extra = {}
     if args.family:
         family = ModeFamily.from_label(args.family, args.sites)
@@ -225,10 +213,10 @@ def cmd_vqe(args) -> int:
     }
     print(_json(record))
     if args.json:
-        _write(args.json, _json(record) + "\n", "vqe", vars(args))
+        _write(args.json, _json(record) + "\n", args)
     if args.trace:
         lines = ["iteration,energy"] + [f"{i},{float(e)!r}" for i, e in trace_rows]
-        _write(args.trace, "\n".join(lines) + "\n", "vqe", vars(args))
+        _write(args.trace, "\n".join(lines) + "\n", args)
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
@@ -239,7 +227,7 @@ def cmd_export(args) -> int:
     if args.with_correction:
         diagonal = diagonal + subtraction_constant(family.statistics)
     psum = decompose_diagonal(diagonal)
-    path = _write(args.out, serialize(psum), "export", vars(args))
+    path = _write(args.out, serialize(psum), args)
     print(f"wrote {len(psum)} terms on {psum.qubits} qubits to {path}")
     return EXIT_OK
 
@@ -249,6 +237,15 @@ def cmd_import(args) -> int:
     print(f"qubits {spec.qubits}")
     print(f"terms {len(spec.pauli)}")
     print(f"ground_energy {spec.ground_energy()!r}")
+    return EXIT_OK
+
+
+def _csv(args, lines: list) -> int:
+    """Write the CSV ``lines`` to --out when it is given, then print them."""
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        _write(args.out, text, args)
+    print(text, end="")
     return EXIT_OK
 
 
@@ -262,11 +259,7 @@ def cmd_pauli_count(args) -> int:
             lines.append(f"{n},{family.qubits},{count}")
         except CapacityError:
             lines.append(f"{n},NA,NA")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(args.out, text, "pauli-count", vars(args))
-    print(text, end="")
-    return EXIT_OK
+    return _csv(args, lines)
 
 
 def cmd_dispersion(args) -> int:
@@ -278,11 +271,7 @@ def cmd_dispersion(args) -> int:
              for k in range(args.dense)]
     for point in [*dispersion_table(system), *dense]:
         rows.append(f"{point.momentum!r},{point.lambda_minus!r},{point.lambda_plus!r}")
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        _write(args.out, text, "dispersion", vars(args))
-    print(text, end="")
-    return EXIT_OK
+    return _csv(args, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,15 +372,10 @@ def main(argv=None) -> int:
             args.sites = 1
     try:
         return args.fn(args)
-    except PauliFormatError as exc:
+    except (CapacityError, ValueError, OSError) as exc:  # PauliFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_PARSE if isinstance(exc, PauliFormatError)
+                else EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_USAGE)
 
 
 if __name__ == "__main__":

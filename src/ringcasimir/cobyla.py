@@ -107,10 +107,8 @@ def cobyla(x0: np.ndarray, rhoend: float, maxfun: int):
             delta, rho = max(0.5 * rho, reduced), reduced
     else:
         return False  # 10 maxfun trust-region iterations
-    # The last trust-region step was short, and so not tried: try it now.
-    x = pole + d
-    if shortd and np.linalg.norm(x - pole) > 1.0e-3 * rhoend and nf < maxfun:
-        yield from _evaluate(x)
+    # PRIMA tries a final short step here.  delta >= rho whenever a step is computed, and
+    # _trstlp's step is 0 or of length delta, so a short step is 0 and that try never runs.
     return True
 
 

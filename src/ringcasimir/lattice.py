@@ -71,7 +71,9 @@ class ModeFamily:
     boundary: Boundary
     sites: int
 
-    def __post_init__(self):
+    def __post_init__(self):  # a member's value means that member
+        object.__setattr__(self, "statistics", Statistics(self.statistics))
+        object.__setattr__(self, "boundary", Boundary(self.boundary))
         if _integer(self.sites, "sites") < 1:
             raise ValueError(f"sites must be >= 1, got {self.sites}")
 
@@ -243,7 +245,7 @@ def coupling_matrix(N: int, boundary: Boundary) -> np.ndarray:
     c = 2.0 * np.eye(m)
     for j in range(m - 1):
         c[j, j + 1] = c[j + 1, j] = -1.0
-    corner = -1.0 if boundary is Boundary.PERIODIC else 1.0
+    corner = -1.0 if Boundary(boundary) is Boundary.PERIODIC else 1.0
     c[0, m - 1] = c[m - 1, 0] = corner
     return c
 

@@ -205,8 +205,7 @@ def decompose(h: np.ndarray, drop_tol: float = DROP_TOL) -> PauliSum:
     phases = np.array(_PHASES)[[z.bit_count() % 4 for z in range(dim)]]  # i^popcount(z)
     rows /= dim  # see decompose_diagonal
     coeffs = _walsh_hadamard(rows)
-    for z, row in enumerate(coeffs):
-        row *= phases[z & flips]  # i^n_Y
+    coeffs *= phases[idx & flips]  # i^n_Y
     if np.any(np.abs(coeffs.imag) > 1e-10):
         raise ValueError("Hermitian input produced non-real Pauli coefficients")
     return _pauli_sum(coeffs.real, flips, qubits, drop_tol)

@@ -101,6 +101,7 @@ class VqeConfig:
     init_spread: float = 0.1
 
     def __post_init__(self):
+        object.__setattr__(self, "optimizer", Optimizer(self.optimizer))  # "linear" is LINEAR
         if _integer(self.depth, "depth") < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if _integer(self.max_iterations, "max_iterations") < 1:
@@ -109,6 +110,8 @@ class VqeConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.optimizer is Optimizer.LINEAR and self.tolerance > 1:  # COBYLA's rho_beg
             raise ValueError(f"tolerance must be at most 1 for the linear optimizer, got {self.tolerance}")
+        if _integer(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.shots is not None:
             _require_shots(self.shots)
         if self.ansatz not in ANSATZE:

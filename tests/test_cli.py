@@ -602,6 +602,8 @@ def test_usage_errors(capsys, tmp_path):
     code, out, err = run_cli(capsys, "vqe", "--family", "fermion-periodic", "--tolerance", "2")
     assert code == 2 and out == ""
     assert err == "error: tolerance must be at most 1 for the linear optimizer, got 2.0\n"
+    code, out, err = run_cli(capsys, "vqe", "--family", "fermion-periodic", "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -784,3 +786,78 @@ def test_module_entry_point_passes_the_exit_code_through(capsys, tmp_path, monke
     )
     assert code == run.returncode == expected
     assert (run.stdout, run.stderr) == (out, err)
+
+
+# The selector flags `exact` and `vqe` share, as the manifest records them when unset.
+_UNSELECTED = {"chiral": False, "eta": None, "family": None, "from_file": None, "scale": None,
+               "sites": None}
+_EXACT = _UNSELECTED | {"command": "exact", "full_precision": False, "no_correction": False,
+                        "subtraction": None, "sweep": None}
+_VQE = _UNSELECTED | {"command": "vqe", "ansatz": "ry", "depth": 0, "init_spread": 0.1,
+                      "max_iterations": 500, "optimizer": "linear", "seed": 7, "shots": None,
+                      "tolerance": 1e-08, "json": None, "trace": None}
+
+
+@pytest.mark.parametrize("argv, files, config", [
+    (["exact", "--family", "boson-twisted", "--sweep", "1..3", "--json", "rows.json"],
+     ["rows.json"],
+     _EXACT | {"family": "boson-twisted", "sites": 1, "sweep": "1..3", "json": "rows.json"}),
+    (["exact", "--chiral", "--sites", "14", "--eta", "10", "--json", "report.json"],
+     ["report.json"],
+     _EXACT | {"chiral": True, "sites": 14, "eta": 10.0, "json": "report.json",
+               "resolved_scale": reference_system(14, 10.0).scale}),
+    (["exact", "--from-file", "h.pauli", "--json", "file.json"],
+     ["file.json"],
+     _EXACT | {"from_file": "h.pauli", "json": "file.json"}),
+    (["vqe", "--family", "fermion-periodic", "--sites", "1", "--json", "run.json",
+      "--trace", "trace.csv"],
+     ["run.json", "trace.csv"],
+     _VQE | {"family": "fermion-periodic", "sites": 1, "json": "run.json",
+             "trace": "trace.csv"}),
+    (["export", "--family", "boson-periodic", "--sites", "2", "--out", "h2.pauli"],
+     ["h2.pauli"],
+     {"command": "export", "family": "boson-periodic", "sites": 2, "with_correction": False,
+      "out": "h2.pauli"}),
+    (["pauli-count", "--family", "boson-periodic", "--sites", "1..3", "--out", "counts.csv"],
+     ["counts.csv"],
+     {"command": "pauli-count", "family": "boson-periodic", "sites": "1..3",
+      "out": "counts.csv"}),
+    (["dispersion", "--sites", "6", "--eta", "5", "--out", "disp.csv"],
+     ["disp.csv"],
+     {"command": "dispersion", "sites": 6, "eta": 5.0, "scale": None, "dense": 0,
+      "out": "disp.csv"}),
+])
+def test_each_manifest_records_its_command_and_configuration(capsys, tmp_path, monkeypatch,
+                                                             argv, files, config):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("RINGCASIMIR_OUTDIR", str(tmp_path))
+    assert main(["export", "--family", "boson-periodic", "--sites", "1", "--out", "h.pauli"]) == 0
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    for name in files:
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["config"] == config
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pauli-count", "--family", "boson-periodic", "--sites", "1..3"], "--out"),
+    (["dispersion", "--sites", "3"], "--out"),
+    (["export", "--family", "boson-periodic", "--sites", "1"], "--out"),
+    (["exact", "--family", "boson-periodic", "--sweep", "1..2"], "--json"),
+    (["exact", "--chiral", "--sites", "3"], "--json"),
+    (["exact", "--from-file", "h.pauli"], "--json"),
+    (["vqe", "--family", "fermion-periodic", "--sites", "1"], "--json"),
+    (["vqe", "--family", "fermion-periodic", "--sites", "1"], "--trace"),
+])
+def test_a_failing_write_keeps_the_output_printed_before_it(capsys, tmp_path, monkeypatch,
+                                                            argv, flag):
+    # the CSV writers and export write first and print nothing; exact and vqe print first
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.pauli").write_text("qubits 1\n0.5 I\n-0.5 Z\n")
+    code, printed, _ = run_cli(capsys, *argv, *(["--out", "ok.txt"] if flag == "--out" else []))
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, flag, str(tmp_path))
+    assert code == 2
+    assert out == ("" if argv[0] in ("pauli-count", "dispersion", "export") else printed)
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -15,8 +15,11 @@ from ringcasimir.chiral import (
 )
 from ringcasimir.hamiltonian import DENSE_QUBIT_CAP, CapacityError, HamiltonianSpec
 from ringcasimir.lattice import (
+    Boundary,
     ModeFamily,
+    Statistics,
     casimir_exact,
+    coupling_matrix,
     mode_frequency,
     mode_hamiltonian,
     ring_hamiltonian,
@@ -536,6 +539,30 @@ def test_vqe_config_validation():
         VqeConfig(tolerance=1.0 + 2.0**-52)
     assert VqeConfig(tolerance=1.0).tolerance == 1.0
     assert VqeConfig(optimizer=Optimizer.QUADRATIC, tolerance=2.0).tolerance == 2.0
+    # numpy would refuse these only when the run draws its start, or draw an unseeded one
+    for bad in (None, 2.5):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            VqeConfig(seed=bad)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        VqeConfig(seed=-1)
+    assert VqeConfig(seed=0).seed == 0
+
+
+def test_a_member_value_means_that_member_and_nothing_else_passes():
+    # a string once passed every `is` test as the other member
+    boson, periodic = Statistics.BOSON, Boundary.PERIODIC
+    assert casimir_exact(ModeFamily(boson, "periodic", 2)) == -0.08433225973012304
+    assert coupling_matrix(2, "periodic")[0, -1] == -1.0
+    family = ModeFamily("boson", periodic, 2)
+    assert family == ModeFamily(boson, periodic, 2)
+    assert (family.qubits, family.label) == (4, "boson-periodic")
+    assert VqeConfig(optimizer="linear") == VqeConfig()
+    spec = mode_hamiltonian(ModeFamily(Statistics.FERMION, periodic, 2), 1)
+    assert run_vqe(spec, VqeConfig(optimizer="linear")).evaluations == 38  # COBYLA's, not SLSQP's 5
+    for make in (lambda: ModeFamily(boson, "junk", 2), lambda: ModeFamily("anyon", periodic, 2),
+                 lambda: coupling_matrix(2, "junk"), lambda: VqeConfig(optimizer="cobyla")):
+        with pytest.raises(ValueError, match="is not a valid"):
+            make()
 
 
 def test_vqe_config_limits_are_what_numpy_can_sample():
