@@ -368,7 +368,7 @@ def main(argv=None) -> int:
             parser.error("--sites does not apply with --sweep, which gives the sites")
         if args.chiral and args.eta is None:
             args.eta = 1.0
-        if args.from_file is None and args.sites is None:
+        if args.from_file is None and args.sites is None and not getattr(args, "sweep", None):
             args.sites = 1
     try:
         return args.fn(args)

@@ -49,7 +49,9 @@ class HamiltonianSpec:
 
     Exactly one of ``diagonal`` (real 1-D, finite, of length ``2**qubits``)
     or ``pauli`` (a :class:`ringcasimir.pauli.PauliSum` on ``qubits``
-    qubits) must be supplied.
+    qubits) must be supplied.  The three fields are fixed once set, since
+    the cached form is built from them; other attributes, such as a wrapped
+    ``apply``, may be set on an instance.
     """
 
     qubits: int
@@ -63,13 +65,18 @@ class HamiltonianSpec:
         if given != 1:
             raise ValueError(f"HamiltonianSpec needs exactly one of diagonal or pauli; got {given}")
         if self.diagonal is not None:
-            self.diagonal = _real_array(self.diagonal)
+            object.__setattr__(self, "diagonal", _real_array(self.diagonal))
             if self.diagonal.shape != (self.dim,):
                 raise ValueError(f"diagonal length {self.diagonal.shape} != {self.dim}")
             if not np.all(np.isfinite(self.diagonal)):
                 raise ValueError("diagonal has non-finite entries")
         elif self.pauli.qubits != self.qubits:
             raise ValueError(f"pauli qubit count {self.pauli.qubits} != {self.qubits}")
+
+    def __setattr__(self, name, value):
+        if name in ("qubits", "diagonal", "pauli") and name in self.__dict__:
+            raise AttributeError(f"HamiltonianSpec.{name} is fixed once set; build a new spec")
+        object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:

@@ -8,16 +8,20 @@ layer for Hamiltonians with genuinely complex ground states (the chiral
 single-particle matrix).  Either family is one list of commuting blocks,
 built per layer, that :func:`ansatz_state` walks forward and the adjoint
 gradient walks back.  RY turns through the one rotation kernel ``_rotate``
-at theta and at -theta.  RZ turns qubit by qubit forward, but the backward
-pass undoes an RZ block with one phase vector exp(i/2 sum_q theta_q z_q):
-one exp of a summed angle rounds otherwise than a product of per-qubit
-phases, and each pass keeps its own so the pinned runs keep their points.
+at theta and at -theta.  The forward pass turns an RZ block in one
+product per half state (:func:`_phase_layer`); the backward pass undoes it
+with one phase vector exp(i/2 sum_q theta_q z_q), which rounds otherwise,
+and each pass keeps its own so the pinned runs keep their points.
 The kernel's three-operation RY and the product-state first block give
 the amplitudes of the plain gate-by-gate circuit bit for bit, by IEEE
 rules rather than by how numpy orders its loops: x - y is x + (-y), sums
 and products of two terms commute, and a complex number times a real one
 (zero imaginary part) rounds as the real product, with or without a fused
-multiply-add.  Only the sign of an exact zero can differ.
+multiply-add.  Only the sign of an exact zero can differ.  The RZ layer
+gives them by numpy's loops instead: numpy 2.4.6 rounds a complex product
+on one element (its scalar loop, as Python's ``*``) otherwise than on two
+or more (its SIMD loop), so the layer multiplies each half state, the
+2^(n-1) elements that each per-qubit turn runs on.
 
 The "linear" optimizer is COBYLA (derivative-free linear trust region),
 the package's port of Powell's method with PRIMA's rules (``cobyla``;
@@ -204,9 +208,11 @@ def ansatz_state(parameters: np.ndarray, qubits: int, depth: int,
     for gate, k in blocks[1:]:  # blocks[0] is the product state
         if gate == "cz":
             state *= _cz_chain_signs(qubits)
-            continue
-        for q, angle in enumerate(angles[k]):
-            _rotate(state, gate, q, angle)
+        elif gate == "rz":
+            state = _phase_layer(state, angles[k])
+        else:
+            for q, angle in enumerate(angles[k]):
+                _rotate(state, gate, q, angle)
     return state
 
 
@@ -232,6 +238,19 @@ def _rotate(state: np.ndarray, gate: str, q: int, angle: float) -> None:
         view[:, 1, :] *= cmath.exp(0.5j * angle)
 
 
+def _phase_layer(state: np.ndarray, angles: list) -> np.ndarray:
+    """RZ(angles[q]) on every qubit q of ``state``, as a new vector.  Each
+    half state (qubit 0 clear, set) is one product over rows in order: the
+    amplitudes, then per qubit q exp(-i angles[q] / 2) where bit q of r is
+    clear and exp(i angles[q] / 2) where it is set.  So amplitude r takes the
+    per-qubit products in their order, in numpy's loop on 2^(n-1) elements."""
+    phases = []
+    for angle in angles:
+        phases += (cmath.exp(-0.5j * angle), cmath.exp(0.5j * angle))
+    stack = np.append(state, phases)[_phase_picks(len(angles))]
+    return np.multiply.reduce(stack, axis=1).reshape(-1)
+
+
 ansatz_state_phased = partial(ansatz_state, ansatz="ry-rz")
 
 
@@ -241,6 +260,16 @@ def _bit_tables(qubits: int) -> tuple:
     flips[q, r] = r ^ m_q, m_q = 2^(n-1-q): qubit 0 is the most significant bit."""
     idx, masks = np.arange(2**qubits), 1 << np.arange(qubits - 1, -1, -1)[:, None]
     return np.where(idx & masks, -1.0, 1.0), idx ^ masks
+
+
+@lru_cache(maxsize=None)
+def _phase_picks(qubits: int) -> np.ndarray:
+    """The (2, n + 1, 2^(n-1)) gather behind :func:`_phase_layer`: in half h,
+    row 0 picks amplitude r and row 1 + q picks entry 2^n + 2q + (bit q of r)
+    of ``[state, phases]``, for r = h 2^(n-1) + column."""
+    dim, z = 2**qubits, _bit_tables(qubits)[0]
+    rows = np.vstack([np.arange(dim), dim + 2 * np.arange(qubits)[:, None] + (z < 0)])
+    return rows.reshape(qubits + 1, 2, dim // 2).transpose(1, 0, 2).copy()
 
 
 def _energy_and_gradient(h: HamiltonianSpec, parameters, depth: int, ansatz: str):

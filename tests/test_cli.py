@@ -801,7 +801,7 @@ _VQE = _UNSELECTED | {"command": "vqe", "ansatz": "ry", "depth": 0, "init_spread
 @pytest.mark.parametrize("argv, files, config", [
     (["exact", "--family", "boson-twisted", "--sweep", "1..3", "--json", "rows.json"],
      ["rows.json"],
-     _EXACT | {"family": "boson-twisted", "sites": 1, "sweep": "1..3", "json": "rows.json"}),
+     _EXACT | {"family": "boson-twisted", "sites": None, "sweep": "1..3", "json": "rows.json"}),
     (["exact", "--chiral", "--sites", "14", "--eta", "10", "--json", "report.json"],
      ["report.json"],
      _EXACT | {"chiral": True, "sites": 14, "eta": 10.0, "json": "report.json",

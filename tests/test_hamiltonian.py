@@ -329,6 +329,22 @@ def test_builders_store_one_representation():
         assert (spec.diagonal is None) != (spec.pauli is None)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("diagonal", np.array([5.0, 6.0])),
+    ("pauli", decompose_diagonal(np.array([5.0, 6.0]))),
+    ("qubits", 2),
+])
+def test_fields_are_fixed_once_the_form_can_be_cached(name, value):
+    # The cached form would answer for the old field: -1.0 after the diagonal became [5, 6].
+    spec = HamiltonianSpec(qubits=1, diagonal=np.array([1.0, -1.0]))
+    assert spec.ground_energy() == -1.0
+    with pytest.raises(AttributeError, match=f"{name} is fixed"):
+        setattr(spec, name, value)
+    assert spec.ground_energy() == -1.0 and spec.qubits == 1 and spec.pauli is None
+    spec.apply = lambda state: 2 * state  # other attributes stay settable on an instance
+    assert spec.apply(np.ones(2)).tolist() == [2.0, 2.0]
+
+
 def test_complex_diagonal_keeps_no_silent_imaginary_part():
     with pytest.raises(ValueError, match="imaginary"):
         HamiltonianSpec(qubits=1, diagonal=np.array([1 + 1j, 2]))

@@ -180,6 +180,19 @@ def test_decompose_rejects_as_require_hermitian_does(kind, qubits, bad, imaginar
         decompose(h)
 
 
+def test_decompose_refuses_rounded_imaginary_parts_of_large_hermitian_input():
+    # M - M^dag is 2^-34 (< 1e-10), so the exact Im c_P are at most 2^-36.  But
+    # the transform's sums of +-2^19 and -+0.175 round on a grid of 2^-33
+    # (1.16e-10), so their imaginary parts no longer cancel and the
+    # non-real-coefficient check, not the Hermiticity check, refuses the input.
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 1], h[1, 0] = 2**21 * 1j, -(2**21) * 1j
+    h[2, 3], h[3, 2] = 0.7j, (-0.7 + 2**-34) * 1j
+    require_hermitian(h)
+    with pytest.raises(ValueError, match="non-real Pauli coefficients"):
+        decompose(h)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["dense", "diagonal", "x-row", "jordan-wigner"]),
        st.integers(1, 3), st.integers(0, 2**32 - 1))

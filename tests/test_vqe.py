@@ -182,6 +182,20 @@ def test_one_qubit_ansatz_matches_per_gate_oracle(depth, ansatz):
     assert np.array_equal(state, per_gate_ansatz_oracle(params, 1, depth, ansatz))
 
 
+@pytest.mark.parametrize("qubits", range(1, 11))
+def test_phase_layer_matches_per_qubit_rz_bit_for_bit(qubits):
+    # Any complex state, not only ansatz states; zero and multiple-of-pi/2
+    # angles give phases with exact zero parts.
+    rng = np.random.default_rng(qubits)
+    for angles in (rng.uniform(-4 * math.pi, 4 * math.pi, qubits), np.zeros(qubits),
+                   rng.integers(-8, 8, qubits) * math.pi / 2):
+        state = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
+        turned = state.copy()
+        for q, angle in enumerate(angles):
+            vqe._rotate(turned, "rz", q, angle)
+        assert np.array_equal(vqe._phase_layer(state, angles.tolist()), turned)
+
+
 def test_minimize_quadratic_bowl_both_optimizers():
     for optimizer in Optimizer:
         cfg = VqeConfig(optimizer=optimizer, max_iterations=500, tolerance=1e-10)
@@ -299,22 +313,29 @@ def test_block_gradient_matches_per_gate_oracle(qubits, depth, ansatz, form, see
 
 
 def test_block_gradient_rotation_count(monkeypatch):
-    # 42 forward rotations (the first RY layer is a product state; 18 RY and
-    # 24 RZ follow), then 18 backward: the RY blocks of layers 3, 2 and 1 one
-    # qubit at a time, the four RZ blocks as one phase vector each, and the
-    # first RY block not at all, since nothing reads the state before it.
-    calls = []
-    rotate = vqe._rotate
+    # 18 forward rotations (the first RY layer is a product state; the RY
+    # layers 1, 2 and 3 follow qubit by qubit) and 4 one-pass RZ layers, then
+    # 18 backward: the RY blocks of layers 3, 2 and 1 one qubit at a time, the
+    # four RZ blocks as one phase vector each, and the first RY block not at
+    # all, since nothing reads the state before it.
+    calls, layers = [], []
+    rotate, phase_layer = vqe._rotate, vqe._phase_layer
 
     def counting(*args):
         calls.append(args[1])
         rotate(*args)
 
+    def counting_layers(state, angles):
+        layers.append(len(angles))
+        return phase_layer(state, angles)
+
     monkeypatch.setattr(vqe, "_rotate", counting)
+    monkeypatch.setattr(vqe, "_phase_layer", counting_layers)
     spec = jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(3, 10.0)))
     params = np.random.default_rng(0).uniform(-np.pi, np.pi, n_parameters(6, 3, "ry-rz"))
     vqe._energy_and_gradient(spec, params, 3, "ry-rz")
-    assert len(calls) == 60
+    assert calls == ["ry"] * 36
+    assert layers == [6] * 4
 
 
 @pytest.mark.parametrize("build,depth,ansatz,seed,energy,digest", [
