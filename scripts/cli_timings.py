@@ -26,6 +26,8 @@ COMMANDS = [
     "dispersion --sites 14 --eta 10 --dense 256 --out disp.csv",
     "exact --chiral --sites 14 --eta 10",
     "vqe --family fermion-periodic --sites 8 --optimizer linear --seed 7 --json run.json",
+    "vqe --chiral --sites 3 --eta 10 --optimizer quadratic --ansatz ry-rz --depth 3"
+    " --init-spread 3.14159 --max-iterations 600 --seed 3 --tolerance 1e-12",
 ]
 MODULES = ("scipy.optimize", "scipy.sparse")
 CHILD = ("import sys; from ringcasimir.cli import main; code = main(sys.argv[1:]); "

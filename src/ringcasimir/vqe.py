@@ -26,11 +26,11 @@ or more (its SIMD loop), so the layer multiplies each half state, the
 The "linear" optimizer is COBYLA (derivative-free linear trust region),
 the package's port of Powell's method with PRIMA's rules (``cobyla``;
 Zhang, doi:10.5281/zenodo.8052654), which evaluates the points that scipy
-1.17.1's COBYLA evaluates.  "quadratic" is scipy's SLSQP (quadratic model
-and line search; exact gradients from one adjoint walk back over the
-block list, finite differences with shots).  Every objective evaluation
-is recorded; the reported energy and parameters are the best evaluation
-seen, and the trace is the non-increasing best-so-far record.
+1.17.1's COBYLA evaluates.  "quadratic" is the package's BFGS (``bfgs``;
+Nocedal & Wright, ch. 6), fed exact gradients from one adjoint walk back
+over the block list, or forward differences with shots.  Every objective
+evaluation is recorded; the reported energy and parameters are the best
+evaluation seen, and the trace is the non-increasing best-so-far record.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .bfgs import bfgs
 from .cobyla import cobyla
 from .hamiltonian import DENSE_QUBIT_CAP, CapacityError, HamiltonianSpec
 from .lattice import (
@@ -74,6 +75,7 @@ __all__ = [
 
 STATEVECTOR_QUBIT_CAP = 12
 ANSATZE = ("ry", "ry-rz")
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class Optimizer(enum.Enum):
@@ -132,7 +134,8 @@ class VqeResult:
 
     ``trace`` holds (evaluation index, best energy so far) pairs, one per
     accepted (improving) evaluation; its last entry equals ``energy``.  An
-    exact SLSQP evaluation is one energy-and-gradient pass.
+    exact BFGS evaluation is one energy-and-gradient pass, and with shots
+    each forward-difference probe is one evaluation.
     """
 
     energy: float
@@ -305,17 +308,18 @@ def _energy_and_gradient(h: HamiltonianSpec, parameters, depth: int, ansatz: str
 def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig, jac: bool = False) -> VqeResult:
     """Minimize ``objective`` from ``x0`` under the configured optimizer.
 
-    "linear" runs :func:`cobyla.cobyla`, the package's port of Powell's
-    COBYLA with PRIMA's rules (Zhang, doi:10.5281/zenodo.8052654), which
-    evaluates the points that scipy 1.17.1's COBYLA evaluates; its budget
-    counts evaluations and stops at ``max_iterations`` exactly.  "quadratic"
-    runs scipy's SLSQP.  Returns the best *evaluated* point together with
-    the full improving-evaluation trace; ``converged`` is False when the
-    budget ran out before the optimizer's own stopping rule fired.  With
-    ``jac=True`` the objective returns ``(energy, gradient)`` for SLSQP
-    (COBYLA raises ``ValueError``); best point and trace follow the energy.
-    More than 2^DENSE_QUBIT_CAP parameters raise :class:`CapacityError`:
-    both optimizers keep n x n matrices.
+    "linear" runs :func:`cobyla.cobyla`, which evaluates the points that
+    scipy 1.17.1's COBYLA evaluates; "quadratic" runs :func:`bfgs.bfgs`.
+    One loop drives both generators, so ``max_iterations`` counts
+    evaluations for both and is never exceeded.  With ``jac=True`` the
+    objective returns ``(energy, gradient)`` for BFGS (COBYLA raises
+    ``ValueError``); without it BFGS takes forward differences, one
+    evaluation per probe.  Returns the best *evaluated* point with the full
+    improving-evaluation trace, both following the energy.  ``converged``
+    is the optimizer's verdict when it stops by its own rules, and False
+    when the budget runs out first, inside a gradient too.  More than
+    2^DENSE_QUBIT_CAP parameters raise :class:`CapacityError`: both
+    optimizers keep n x n matrices.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.size > 2**DENSE_QUBIT_CAP:
@@ -338,22 +342,41 @@ def minimize(objective: Callable, x0: np.ndarray, cfg: VqeConfig, jac: bool = Fa
         return (value, out[1]) if jac else value
 
     if linear:
-        converged = False
         steps = cobyla(x0, cfg.tolerance, cfg.max_iterations)
-        try:
-            x = next(steps)
-            while evaluations[0] < cfg.max_iterations:
-                x = steps.send(wrapped(x))
-        except StopIteration as stop:
-            converged = stop.value
     else:
-        # Imported here so that runs without SLSQP skip its 0.5 s load.
-        from scipy.optimize import minimize as scipy_minimize
-        result = scipy_minimize(wrapped, x0, method="SLSQP", jac=jac, tol=cfg.tolerance,
-                                options={"maxiter": cfg.max_iterations})
-        converged = bool(result.success)
+        steps = bfgs(x0, cfg.tolerance)
+        if not jac:
+            steps = _forward_differences(steps)
+    converged = False
+    try:
+        x = next(steps)
+        while evaluations[0] < cfg.max_iterations:
+            x = steps.send(wrapped(x))
+    except StopIteration as stop:
+        converged = stop.value
     return VqeResult(energy=best["fun"], parameters=best["x"], trace=trace,
                      evaluations=evaluations[0], converged=converged)
+
+
+def _forward_differences(steps):
+    """Drive ``steps``, a :func:`bfgs.bfgs` run, with values alone: where it
+    asks for a gradient, yield one probe per coordinate, moved by scipy's
+    2-point step sqrt(eps) max(1, |x_i|), and send (f(probe) - f(x)) / (probe_i - x_i)."""
+    x = next(steps)
+    try:
+        while True:
+            value = yield x
+            request = steps.send((value, None))
+            if request is None:
+                gradient = np.empty(x.size)
+                for i, xi in enumerate(x.tolist()):
+                    probe = x.copy()
+                    probe[i] = xi + SQRT_EPS * max(1.0, abs(xi))
+                    gradient[i] = ((yield probe) - value) / (probe[i] - xi)
+                request = steps.send(gradient)
+            x = request
+    except StopIteration as stop:
+        return stop.value
 
 
 def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
@@ -361,9 +384,10 @@ def run_vqe(h: HamiltonianSpec, cfg: VqeConfig = VqeConfig()) -> VqeResult:
 
     Exact-expectation mode evaluates ``h.expectation`` on the stored
     representation and respects the variational bound: the reported energy
-    cannot undercut the true ground energy; SLSQP also gets its adjoint
+    cannot undercut the true ground energy; BFGS also gets its adjoint
     gradient.  Shot mode samples the terms of ``h.as_pauli()``, whose term
-    actions the sum builds at the first evaluation and keeps.  Exhausting
+    actions the sum builds at the first evaluation and keeps; BFGS then takes
+    forward differences of the sampled energies.  Exhausting
     ``max_iterations`` yields ``converged=False`` rather than an error.
     """
     if h.qubits > STATEVECTOR_QUBIT_CAP:

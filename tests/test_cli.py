@@ -184,6 +184,31 @@ def test_vqe_chiral_quadratic(capsys, tmp_path):
     assert (manifest["numpy_version"], manifest["scipy_version"]) == (np.__version__, scipy.__version__)
 
 
+def test_quadratic_run_is_the_same_at_any_blas_thread_count(tmp_path):
+    # The README chiral command in two children: one at one OpenBLAS thread, one
+    # at OpenBLAS's own default (every core).  The library sets no thread count.
+    argv = ["vqe", "--chiral", "--sites", "3", "--eta", "10", "--optimizer", "quadratic",
+            "--ansatz", "ry-rz", "--depth", "3", "--init-spread", "3.14159",
+            "--max-iterations", "600", "--seed", "3", "--tolerance", "1e-12",
+            "--json", "run.json", "--trace", "trace.csv"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "RINGCASIMIR_OUTDIR")
+    base = {k: v for k, v in os.environ.items() if k not in unset} | {"PYTHONPATH": str(src)}
+    runs = []
+    for name, env in (("one", base | {"OPENBLAS_NUM_THREADS": "1"}), ("default", base)):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        run = subprocess.run([sys.executable, "-m", "ringcasimir.cli", *argv], cwd=cwd, env=env,
+                             capture_output=True, text=True)
+        files = {path.name: path.read_bytes() for path in (cwd / "run.json", cwd / "trace.csv")}
+        manifests = [json.loads((cwd / f"{file}.manifest.json").read_text()) for file in files]
+        for manifest in manifests:
+            del manifest["timestamp"]
+        runs.append((run.returncode, run.stdout, run.stderr, files, manifests))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+
+
 def test_vqe_shots_mode(capsys, tmp_path):
     out_json = tmp_path / "shots.json"
     code, out, _ = run_cli(

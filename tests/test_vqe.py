@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import functools
 import hashlib
 import math
 
@@ -241,6 +243,60 @@ def test_minimize_with_gradient():
         minimize(lambda x: (float(x[0] ** 2), 2.0 * x), np.array([1.0]), VqeConfig(), jac=True)
 
 
+def test_bfgs_stops_at_a_zero_or_non_finite_gradient():
+    cfg = VqeConfig(optimizer=Optimizer.QUADRATIC)
+    for gradient, converged in ((0.0, True), (math.nan, False), (math.inf, False)):
+        out = minimize(lambda x: (1.0, np.full(2, gradient)), np.zeros(2), cfg, jac=True)
+        assert (out.evaluations, out.converged) == (1, converged)
+
+
+@functools.cache
+def _chiral_l2():
+    return jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(2, 10.0)))
+
+
+def _rosenbrock_and_gradient(x):
+    value = (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+    return value, np.array([-2.0 * (1 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+                            200.0 * (x[1] - x[0] ** 2)])
+
+
+# name: (value and gradient, start)
+_BUDGET_OBJECTIVES = {
+    "bowl": (lambda x: (float(np.sum((x - 2.0) ** 2)), 2.0 * (x - 2.0)), np.array([0.0, 0.5])),
+    "rosenbrock": (_rosenbrock_and_gradient, np.array([-1.2, 1.0])),
+    "chiral-l2": (lambda x: vqe._energy_and_gradient(_chiral_l2(), x, 3, "ry-rz"),
+                  np.random.default_rng(3).uniform(-math.pi, math.pi, n_parameters(4, 3, "ry-rz"))),
+}
+
+
+@functools.cache
+def _unbudgeted_quadratic_run(name, jac):
+    both, x0 = _BUDGET_OBJECTIVES[name]
+    objective = both if jac else (lambda x: both(x)[0])
+    cfg = VqeConfig(optimizer=Optimizer.QUADRATIC, max_iterations=20_000, tolerance=1e-12)
+    return objective, x0, cfg, minimize(objective, x0, cfg, jac=jac)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.booleans(), st.sampled_from(sorted(_BUDGET_OBJECTIVES)))
+def test_quadratic_budget_counts_evaluations_and_cuts_the_run(budget, jac, name):
+    # Each evaluation counts once, a forward-difference probe too, and a budget
+    # cuts the unbudgeted run short: same points, so its trace is a prefix.
+    objective, x0, cfg, full = _unbudgeted_quadratic_run(name, jac)
+    assert full.converged and full.evaluations < cfg.max_iterations
+    out = minimize(objective, x0, dataclasses.replace(cfg, max_iterations=budget), jac=jac)
+    assert out.evaluations == min(budget, full.evaluations) <= budget
+    if full.evaluations > budget:  # the budget ran out
+        assert not out.converged
+    else:
+        assert out.converged
+    energies = [e for _, e in out.trace]
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
+    assert out.trace[-1][1] == out.energy
+    assert out.trace == [row for row in full.trace if row[0] <= budget]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2), st.sampled_from(ANSATZE),
        st.sampled_from(["diagonal", "pauli"]), st.integers(0, 2**32 - 1))
@@ -373,15 +429,17 @@ def test_exact_quadratic_run_takes_the_adjoint_gradient():
 @pytest.mark.parametrize("build,cfg,energy,evaluations", [
     (lambda: ring_hamiltonian(ModeFamily.from_label("fermion-periodic", 2)),
      VqeConfig(optimizer=Optimizer.QUADRATIC, shots=1000, seed=4, max_iterations=30),
-     -9.833540016502122, 149),
+     -9.84858731896081, 30),
     (lambda: jordan_wigner_hamiltonian(single_particle_matrix(ChiralSystem(2, 10.0))),
      VqeConfig(optimizer=Optimizer.QUADRATIC, shots=200, seed=1, depth=1, ansatz="ry-rz",
                max_iterations=5),
-     -1.1099999999999999, 152),
+     -0.30000000000000004, 5),
 ])
 def test_shot_mode_quadratic_keeps_finite_differences(build, cfg, energy, evaluations):
-    # Literals from the finite-difference implementation: sampled objectives
-    # have no exact gradient, so shot mode must not change.
+    # Sampled objectives have no exact gradient, so shot mode takes forward
+    # differences, one evaluation per probe, and never the adjoint gradient.
+    # Both runs stop at their budget: 5 evaluations take no step in 16
+    # parameters, and the best of them is a probe.
     result = run_vqe(build(), cfg)
     assert (result.energy, result.evaluations) == (energy, evaluations)
 
@@ -555,7 +613,7 @@ def test_vqe_config_validation():
             VqeConfig(tolerance=bad)
         with pytest.raises(ValueError, match="finite"):
             VqeConfig(init_spread=bad)
-    # COBYLA's start radius is 1, and its final radius cannot exceed it; SLSQP takes any ftol
+    # COBYLA's start radius is 1, and its final radius cannot exceed it; BFGS takes any tolerance
     with pytest.raises(ValueError, match="at most 1"):
         VqeConfig(tolerance=1.0 + 2.0**-52)
     assert VqeConfig(tolerance=1.0).tolerance == 1.0
@@ -579,7 +637,7 @@ def test_a_member_value_means_that_member_and_nothing_else_passes():
     assert (family.qubits, family.label) == (4, "boson-periodic")
     assert VqeConfig(optimizer="linear") == VqeConfig()
     spec = mode_hamiltonian(ModeFamily(Statistics.FERMION, periodic, 2), 1)
-    assert run_vqe(spec, VqeConfig(optimizer="linear")).evaluations == 38  # COBYLA's, not SLSQP's 5
+    assert run_vqe(spec, VqeConfig(optimizer="linear")).evaluations == 38  # COBYLA's, not BFGS's 4
     for make in (lambda: ModeFamily(boson, "junk", 2), lambda: ModeFamily("anyon", periodic, 2),
                  lambda: coupling_matrix(2, "junk"), lambda: VqeConfig(optimizer="cobyla")):
         with pytest.raises(ValueError, match="is not a valid"):
